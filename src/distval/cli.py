@@ -200,7 +200,7 @@ def _policy_from(cfg: dict, args) -> PolicyParams:
 
 
 def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -252,8 +252,7 @@ def cmd_value(cfg: dict, args) -> int:
 def cmd_rank(cfg: dict, args) -> int:
     _, datasets, gt, kernel = _prepare_data(cfg, args)
     ref = _build_reference(cfg, datasets, gt, args.seed)
-    params = PolicyParams(eps_upsilon=0.0, eps_bias=0.0)
-    ranked = rank_vendors(kernel, params, datasets, ref, args.threads)
+    ranked = rank_vendors(kernel, datasets, ref, args.threads)
     result = [{"rank": i + 1, "id": vid, "value": val} for i, (vid, val) in enumerate(ranked)]
     resolved = _provenance(args, kernel, ref=ref.kind.value)
     _note_provenance(resolved)
@@ -427,9 +426,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    saved_threads = os.environ.get(THREADS_ENV_VAR)
     try:
         args = parser.parse_args(argv)
         if args.threads is not None:
+            # Experiment runners read the worker count from the environment;
+            # the finally clause restores it for later in-process callers.
             os.environ[THREADS_ENV_VAR] = str(args.threads)
         cfg = _load_config(args.config)
         print(
@@ -443,6 +445,11 @@ def main(argv=None) -> int:
     except PropertyViolation as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 2
+    finally:
+        if saved_threads is None:
+            os.environ.pop(THREADS_ENV_VAR, None)
+        else:
+            os.environ[THREADS_ENV_VAR] = saved_threads
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__ as _code_version
-from .data import DiscretePmf, mix_pmfs
+from .data import Dataset, DiscretePmf, mix_pmfs
 from .errors import InputError, UndefinedCorrelationError
 from .game import build_game, verify_minmax
 from .huber import (
@@ -30,9 +30,9 @@ from .huber import (
     realized_pmf,
     sample_huber,
 )
-from .kernel import KernelConfig, _gram_sum_arrays
+from .kernel import KernelConfig
 from .metrics import ValueVector, inversions, l2_err, l_inf_err, pearson
-from .mmd import _biased_from_sums, _u_stat_from_sums, mmd_discrete
+from .mmd import mmd2_unpaired, mmd_biased, mmd_discrete
 from .policy import PolicyParams, Verdict, compare
 from .valuation import (
     Reference,
@@ -277,19 +277,9 @@ def _population(cfg: ExperimentConfig, ex: dict, seed: int):
     return base, specs
 
 
-def _values_against_cached_ref(
-    kcfg: KernelConfig, point_sets: list[np.ndarray], ref: np.ndarray, s_rr: float
-) -> np.ndarray:
-    """Biased-MMD values of several datasets against one reference, reusing the
-    reference self-sum (the dominant O(m_ref^2) term)."""
-    mr = ref.shape[0]
-    vals = []
-    for pts in point_sets:
-        m = pts.shape[0]
-        s_xx = _gram_sum_arrays(kcfg, pts, pts)
-        s_xr = _gram_sum_arrays(kcfg, pts, ref)
-        vals.append(-_biased_from_sums(s_xx, s_rr, s_xr, m, mr))
-    return np.array(vals)
+def _values(kcfg: KernelConfig, datasets: list[Dataset], ref: Dataset) -> np.ndarray:
+    """Biased-MMD values against one reference; its self-sum is computed once."""
+    return np.array([-mmd_biased(kcfg, d, ref) for d in datasets])
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
@@ -304,19 +294,13 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 2 + cfg.n)
         base, specs = _population(cfg, ex, seeds[0])
-        ref = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "ref").points
-        full = [
-            sample_huber(specs[i], m_full, seeds[2 + i], f"v{i}").points for i in range(cfg.n)
-        ]
-        s_rr = _gram_sum_arrays(cfg.kernel, ref, ref)
-        nu_star = _values_against_cached_ref(cfg.kernel, full, ref, s_rr)
-        vv_star = ValueVector(nu_star, ids)
+        ref = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "ref")
+        full = [sample_huber(specs[i], m_full, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
+        vv_star = ValueVector(_values(cfg.kernel, full, ref), ids)
         for f in fractions:
             m_f = max(1, round(f * m_full))
-            nu = _values_against_cached_ref(
-                cfg.kernel, [pts[:m_f] for pts in full], ref, s_rr
-            )
-            vv = ValueVector(nu, ids)
+            heads = [Dataset(d.id, d.points[:m_f]) for d in full]
+            vv = ValueVector(_values(cfg.kernel, heads, ref), ids)
             rows.append(
                 {
                     "trial": t,
@@ -462,19 +446,6 @@ def _convolve_lattice(pmf: DiscretePmf, noise_var: float) -> DiscretePmf:
     return DiscretePmf(support=support, probs=probs / probs.sum())
 
 
-def _ic_values_empirical(kcfg, point_sets, ref):
-    mr = ref.shape[0]
-    s_rr = _gram_sum_arrays(kcfg, ref, ref)
-    mmd_vals, u_vals = [], []
-    for pts in point_sets:
-        m = pts.shape[0]
-        s_xx = _gram_sum_arrays(kcfg, pts, pts)
-        s_xr = _gram_sum_arrays(kcfg, pts, ref)
-        mmd_vals.append(-_biased_from_sums(s_xx, s_rr, s_xr, m, mr))
-        u_vals.append(-_u_stat_from_sums(s_xx, s_rr, s_xr, m, mr))
-    return np.array(mmd_vals), np.array(u_vals)
-
-
 def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
     """Per-vendor value changes when one vendor misreports by adding zero-mean
     Gaussian noise, under three scorings: ground-truth reference, the
@@ -493,21 +464,24 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
             rows.extend(_incentive_exact_trial(cfg, ex, t, base, specs, i_mis))
             continue
         m, m_star = int(ex["m"]), int(ex["m_star"])
-        data = [sample_huber(specs[i], m, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
-        ref_gt = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "gt").points
+        honest = [sample_huber(specs[i], m, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
+        ref_gt = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "gt")
         rng = _trial_rng(cfg.seed, t, stream=1)
-        noisy = data[i_mis].points + rng.normal(
-            0.0, math.sqrt(ex["noise_var"]), size=data[i_mis].points.shape
+        pts = honest[i_mis].points
+        mis = list(honest)
+        mis[i_mis] = Dataset(
+            f"v{i_mis}", pts + rng.normal(0.0, math.sqrt(ex["noise_var"]), size=pts.shape)
         )
-        honest_sets = [d.points for d in data]
-        mis_sets = list(honest_sets)
-        mis_sets[i_mis] = noisy
-        ref_u_honest = np.concatenate(honest_sets, axis=0)
-        ref_u_mis = np.concatenate(mis_sets, axis=0)
-        gt_b, _ = _ic_values_empirical(cfg.kernel, honest_sets, ref_gt)
-        gt_a, _ = _ic_values_empirical(cfg.kernel, mis_sets, ref_gt)
-        ours_b, m2_b = _ic_values_empirical(cfg.kernel, honest_sets, ref_u_honest)
-        ours_a, m2_a = _ic_values_empirical(cfg.kernel, mis_sets, ref_u_mis)
+        # The uniform mixture is rebuilt from whatever the vendors submitted.
+        mix_b = Dataset("mix", np.concatenate([d.points for d in honest], axis=0))
+        mix_a = Dataset("mix", np.concatenate([d.points for d in mis], axis=0))
+        gt_b, gt_a = _values(cfg.kernel, honest, ref_gt), _values(cfg.kernel, mis, ref_gt)
+        ours_b, ours_a = _values(cfg.kernel, honest, mix_b), _values(cfg.kernel, mis, mix_a)
+        # Squared-MMD scoring keeps the unpaired U-statistic for every n: with
+        # n = 1 the mixture has as many rows as the vendor, where
+        # mmd2_unbiased would switch to the paired form.
+        m2_b = [-mmd2_unpaired(cfg.kernel, d, mix_b) for d in honest]
+        m2_a = [-mmd2_unpaired(cfg.kernel, d, mix_a) for d in mis]
         for i in range(cfg.n):
             rows.append(
                 {

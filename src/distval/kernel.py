@@ -1,9 +1,10 @@
 """RBF kernel evaluation, blocked Gram reductions, and bandwidth selection.
 
 The O(m^2) kernel sums here are the hot path of every distance computation.
-`gram_sum` streams the Gram matrix in fixed-size row blocks so memory stays
-bounded and results are identical for any worker count: each row is reduced
-on its own, and the per-row partial sums are combined in index order.
+`weighted_gram_sum` streams the Gram matrix in fixed-size row blocks so
+memory stays bounded and results are identical for any worker count: each
+row is reduced on its own, and the weighted per-row sums are combined exactly
+in index order.
 """
 from __future__ import annotations
 
@@ -41,8 +42,8 @@ class KernelConfig:
     k_bound: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise InputError(f"kernel: sigma must be positive, got {self.sigma!r}")
+        if not (0 < self.sigma < math.inf):
+            raise InputError(f"kernel: sigma must be positive and finite, got {self.sigma!r}")
         if not (self.k_bound > 0):
             raise InputError(f"kernel: k_bound must be positive, got {self.k_bound!r}")
         if self.family is KernelFamily.RBF and self.k_bound != 1.0:
@@ -52,7 +53,11 @@ class KernelConfig:
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else DISTVAL_THREADS, else 1."""
     if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
+        raw = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     return threads
@@ -81,35 +86,55 @@ def kernel_eval(cfg: KernelConfig, x, y) -> float:
     return math.exp(-d2 / (2.0 * cfg.sigma**2))
 
 
-def _row_sums(cfg: KernelConfig, X: np.ndarray, Y: np.ndarray, out: np.ndarray, lo: int, hi: int):
-    out[lo:hi] = gram_matrix(cfg, X[lo:hi], Y).sum(axis=1)
+def _row_sums(cfg: KernelConfig, X, Y, wy, unit_wy: bool, out: np.ndarray, lo: int, hi: int):
+    k = gram_matrix(cfg, X[lo:hi], Y)
+    if not unit_wy:
+        k *= wy
+    out[lo:hi] = k.sum(axis=1)
+
+
+def weighted_gram_sum(
+    cfg: KernelConfig,
+    X: np.ndarray,
+    wx: np.ndarray,
+    Y: np.ndarray,
+    wy: np.ndarray,
+    threads: int | None = None,
+) -> float:
+    """wx^T K(X, Y) wy: the weighted sum of k(x_i, y_j) over all row pairs.
+
+    Deterministic for any worker count: each row's weighted sum is reduced on
+    its own, independent of block boundaries, and the rows are combined
+    exactly (math.fsum) in index order.
+    """
+    nw = resolve_threads(threads)
+    m = X.shape[0]
+    block = max(1, _BLOCK_ENTRIES // max(1, Y.shape[0]))
+    # Multiplying by 1.0 is exact, so skipping it changes no bit.
+    unit_wy = bool((wy == 1.0).all())
+    row_sums = np.empty(m)
+    spans = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
+    args = (cfg, X, Y, wy, unit_wy, row_sums)
+    if nw == 1 or len(spans) == 1:
+        for lo, hi in spans:
+            _row_sums(*args, lo, hi)
+    else:
+        with ThreadPoolExecutor(max_workers=nw) as pool:
+            futs = [pool.submit(_row_sums, *args, lo, hi) for lo, hi in spans]
+            for f in futs:
+                f.result()
+    return math.fsum((wx * row_sums).tolist())
 
 
 def gram_sum(cfg: KernelConfig, A: Dataset, B: Dataset, threads: int | None = None) -> float:
     """Sum of k(x, w) over all pairs x in A, w in B.
 
-    Deterministic for any worker count: row sums are computed per row and
-    combined exactly (math.fsum) in index order.
+    Computed over each dataset's distinct rows weighted by their counts: the
+    same sum from fewer kernel entries. Nothing is cached, so every call does
+    the whole reduction.
     """
     check_same_dim(A, B, "gram_sum")
-    return _gram_sum_arrays(cfg, A.points, B.points, threads)
-
-
-def _gram_sum_arrays(cfg: KernelConfig, X: np.ndarray, Y: np.ndarray, threads: int | None = None) -> float:
-    nw = resolve_threads(threads)
-    m = X.shape[0]
-    block = max(1, _BLOCK_ENTRIES // max(1, Y.shape[0]))
-    row_sums = np.empty(m)
-    spans = [(lo, min(lo + block, m)) for lo in range(0, m, block)]
-    if nw == 1 or len(spans) == 1:
-        for lo, hi in spans:
-            _row_sums(cfg, X, Y, row_sums, lo, hi)
-    else:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            futs = [pool.submit(_row_sums, cfg, X, Y, row_sums, lo, hi) for lo, hi in spans]
-            for f in futs:
-                f.result()
-    return math.fsum(row_sums.tolist())
+    return weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
 
 
 def median_heuristic(pooled: Dataset, cap: int = 1000, seed: int = 0) -> float:

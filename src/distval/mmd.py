@@ -3,8 +3,12 @@
 Three routes to the same metric:
   * mmd_biased   -- plug-in estimator on samples, sqrt of a V-statistic;
   * mmd2_unbiased -- U-statistic estimator of the squared MMD (may be negative);
-  * mmd_discrete -- exact population MMD between finite-support distributions,
-    via weighted kernel double sums.
+  * mmd_discrete -- exact population MMD between finite-support distributions.
+
+All of them are formulas over one primitive, `weighted_gram_sum`, applied
+to each input's `atoms`: a Dataset is its distinct rows weighted by their
+counts, a DiscretePmf is its support weighted by its probabilities. Each
+input's self-sum is computed once per kernel and kept on the input.
 """
 from __future__ import annotations
 
@@ -14,29 +18,43 @@ import numpy as np
 
 from .data import Dataset, DiscretePmf, check_same_dim
 from .errors import InputError
-from .kernel import KernelConfig, _gram_sum_arrays, gram_matrix
+from .kernel import KernelConfig, weighted_gram_sum
 
 
-def _biased_from_sums(s_xx: float, s_yy: float, s_xy: float, m: int, n: int) -> float:
-    # Radicand is >= 0 in exact arithmetic; clamp float noise before the sqrt.
-    v = s_xx / (m * m) + s_yy / (n * n) - 2.0 * s_xy / (m * n)
-    return math.sqrt(max(v, 0.0))
+def _self_sum(cfg: KernelConfig, A, threads: int | None) -> float:
+    return A.self_sum(cfg, lambda: weighted_gram_sum(cfg, *A.atoms, *A.atoms, threads))
+
+
+def _sums(cfg: KernelConfig, A, B, threads: int | None = None) -> tuple[float, float, float]:
+    """Self-sums of A and B (each kept on its input) and their cross sum."""
+    s_ab = weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
+    return _self_sum(cfg, A, threads), _self_sum(cfg, B, threads), s_ab
 
 
 def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
     """Biased sample estimate of MMD(D, D'); nonnegative and symmetric."""
     check_same_dim(D, Dp, "mmd_biased")
     m, n = len(D), len(Dp)
-    s_xx = _gram_sum_arrays(cfg, D.points, D.points, threads)
-    s_yy = _gram_sum_arrays(cfg, Dp.points, Dp.points, threads)
-    s_xy = _gram_sum_arrays(cfg, D.points, Dp.points, threads)
-    return _biased_from_sums(s_xx, s_yy, s_xy, m, n)
+    s_xx, s_yy, s_xy = _sums(cfg, D, Dp, threads)
+    # Radicand is >= 0 in exact arithmetic; clamp float noise before the sqrt.
+    v = s_xx / (m * m) + s_yy / (n * n) - 2.0 * s_xy / (m * n)
+    return math.sqrt(max(v, 0.0))
 
 
-def _u_stat_from_sums(s_xx: float, s_yy: float, s_xy: float, m: int, n: int) -> float:
-    # Unpaired form: within-sample sums exclude the diagonal (k(x, x) = 1 for
-    # the RBF family); every cross pair is kept since x_i and y_j are independent.
-    return (s_xx - m) / (m * (m - 1)) + (s_yy - n) / (n * (n - 1)) - 2.0 * s_xy / (m * n)
+def _u_statistic(cfg, D: Dataset, Dp: Dataset, threads, paired: bool, what: str) -> float:
+    check_same_dim(D, Dp, what)
+    m, n = len(D), len(Dp)
+    if m < 2 or n < 2:
+        raise InputError(f"{what}: both samples need at least 2 points")
+    s_xx, s_yy, s_xy = _sums(cfg, D, Dp, threads)
+    # Within-sample sums exclude the diagonal (k(x, x) = 1 for the RBF family).
+    within = (s_xx - m) / (m * (m - 1)) + (s_yy - n) / (n * (n - 1))
+    if paired:
+        diag = float(
+            np.exp(((D.points - Dp.points) ** 2).sum(axis=1) / (-2.0 * cfg.sigma**2)).sum()
+        )
+        return within - 2.0 * (s_xy - diag) / (m * (m - 1))
+    return within - 2.0 * s_xy / (m * n)
 
 
 def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
@@ -47,32 +65,24 @@ def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | Non
     sizes the paired one-sample form is used (the i-th cross pair excluded as
     well), so identical samples score exactly 0.
     """
-    check_same_dim(D, Dp, "mmd2_unbiased")
-    m, n = len(D), len(Dp)
-    if m < 2 or n < 2:
-        raise InputError("mmd2_unbiased: both samples need at least 2 points")
-    s_xx = _gram_sum_arrays(cfg, D.points, D.points, threads)
-    s_yy = _gram_sum_arrays(cfg, Dp.points, Dp.points, threads)
-    s_xy = _gram_sum_arrays(cfg, D.points, Dp.points, threads)
-    if m == n:
-        diag = float(
-            np.exp(((D.points - Dp.points) ** 2).sum(axis=1) / (-2.0 * cfg.sigma**2)).sum()
-        )
-        return (s_xx - m) / (m * (m - 1)) + (s_yy - n) / (n * (n - 1)) - 2.0 * (
-            s_xy - diag
-        ) / (m * (m - 1))
-    return _u_stat_from_sums(s_xx, s_yy, s_xy, m, n)
+    return _u_statistic(cfg, D, Dp, threads, len(D) == len(Dp), "mmd2_unbiased")
+
+
+def mmd2_unpaired(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
+    """The two-sample U-statistic for independent samples, for any sizes.
+
+    Every cross pair is kept, since x_i and y_j are independent; this is
+    mmd2_unbiased whenever the sample sizes differ.
+    """
+    return _u_statistic(cfg, D, Dp, threads, False, "mmd2_unpaired")
 
 
 def mmd_discrete(cfg: KernelConfig, P: DiscretePmf, Pp: DiscretePmf) -> float:
     """Exact population MMD between two finite-support distributions.
 
     d(P, P')^2 = E k(X, X') - 2 E k(X, Y) + E k(Y, Y') with X, X' ~ P and
-    Y, Y' ~ P', evaluated as weighted double sums over the supports.
+    Y, Y' ~ P', evaluated as probability-weighted sums over the supports.
     """
     check_same_dim(P, Pp, "mmd_discrete")
-    p, q = P.probs, Pp.probs
-    g_pp = float(p @ gram_matrix(cfg, P.support, P.support) @ p)
-    g_qq = float(q @ gram_matrix(cfg, Pp.support, Pp.support) @ q)
-    g_pq = float(p @ gram_matrix(cfg, P.support, Pp.support) @ q)
+    g_pp, g_qq, g_pq = _sums(cfg, P, Pp)
     return math.sqrt(max(g_pp - 2.0 * g_pq + g_qq, 0.0))

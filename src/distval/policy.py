@@ -60,7 +60,7 @@ class DecisionReport:
     def to_json(self) -> str:
         d = asdict(self)
         d["verdict"] = self.verdict.value
-        return json.dumps(d)
+        return json.dumps(d, allow_nan=False)
 
 
 def criterion_margin_gt(p: PolicyParams, m: int, m_prime: int, m_star: int) -> float:
@@ -144,17 +144,9 @@ def compare(
 
 
 def rank_vendors(
-    cfg: KernelConfig,
-    p: PolicyParams,
-    datasets: list[Dataset],
-    ref: Reference,
-    threads: int | None = None,
+    cfg: KernelConfig, datasets: list[Dataset], ref: Reference, threads: int | None = None
 ) -> list[tuple[str, float]]:
-    """Vendors sorted by dataset value, descending; ties broken by id ascending.
-
-    PolicyParams is accepted for interface symmetry with compare; margins do
-    not change an ordering.
-    """
+    """Vendors sorted by dataset value, descending; ties broken by id ascending."""
     ids = [d.id for d in datasets]
     if len(set(ids)) != len(ids):
         raise InputError("rank_vendors: vendor ids must be unique")

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -269,3 +270,31 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["certified"] is True
+
+
+def test_bad_threads_env_is_input_error(tmp_path, vendor_files, capsys, monkeypatch):
+    monkeypatch.setenv("DISTVAL_THREADS", "abc")
+    cfg = _config(tmp_path, vendor_files)
+    assert main(["value", "--config", str(cfg)]) == 1
+    assert "error: DISTVAL_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("before", [None, "2"])
+def test_threads_flag_does_not_leak_into_environment(tmp_path, capsys, monkeypatch, before):
+    if before is None:
+        monkeypatch.delenv("DISTVAL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("DISTVAL_THREADS", before)
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps({"game": {"distances": [0.2, 0.6]}}))
+    assert main(["verify-game", "--threads", "3", "--config", str(p)]) == 0
+    assert os.environ.get("DISTVAL_THREADS") == before
+
+
+def test_reports_are_strict_json(tmp_path):
+    import argparse
+
+    from distval.cli import _emit
+
+    with pytest.raises(ValueError):
+        _emit({"value": float("nan")}, argparse.Namespace(out=str(tmp_path / "r.json")))

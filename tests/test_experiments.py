@@ -196,3 +196,14 @@ def test_game_verify_all_certified():
     rep = run_game_verify(cfg(ExperimentName.GAME_VERIFY, 2, 10, 77))
     assert rep.aggregates["pass_rate"]["mean"] == 1.0
     assert len(rep.rows) == 10 * 4  # n_values default {2,3,4,5}
+
+
+def test_incentive_squared_mmd_stays_unpaired_for_one_vendor():
+    # With n = 1 the mixture reference is the vendor's own sample, before and
+    # after the misreport. The paired U-statistic would score both exactly 0;
+    # the unpaired one does not, so the column changes.
+    rep = run_incentive(
+        cfg(ExperimentName.INCENTIVE_COMPAT, 1, 2, 5, noise_var=4.0, m=50, m_star=100)
+    )
+    assert all(r["change_mmd2"] != 0.0 for r in rep.rows)
+    assert all(r["change_ours"] == 0.0 for r in rep.rows)

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distval import Dataset, InputError, KernelConfig, gram_sum, kernel_eval, median_heuristic
+from distval import kernel
+from distval.kernel import weighted_gram_sum
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -21,6 +24,9 @@ def test_config_validation():
         KernelConfig(sigma=-1.0)
     with pytest.raises(InputError):
         KernelConfig(sigma=1.0, k_bound=2.0)  # RBF is bounded by 1
+    for bad in (math.inf, math.nan):
+        with pytest.raises(InputError, match="finite"):
+            KernelConfig(sigma=bad)
 
 
 def test_eval_identical_points():
@@ -140,3 +146,36 @@ def test_threads_env_fallback(monkeypatch):
     assert resolve_threads(2) == 2  # explicit argument wins
     with pytest.raises(InputError):
         resolve_threads(0)
+    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
+    with pytest.raises(InputError, match=THREADS_ENV_VAR):
+        resolve_threads(None)
+
+
+def test_weighted_gram_sum_matches_dense_weighted_form():
+    rng = np.random.default_rng(12)
+    X, Y = rng.normal(size=(7, 3)), rng.normal(size=(5, 3))
+    wx, wy = rng.uniform(size=7), rng.uniform(size=5)
+    dense = float(wx @ kernel.gram_matrix(KernelConfig(sigma=1.5), X, Y) @ wy)
+    got = weighted_gram_sum(KernelConfig(sigma=1.5), X, wx, Y, wy)
+    assert got == pytest.approx(dense, rel=1e-13)
+
+
+def _rows(distinct: bool):
+    # duplicate-heavy: a few lattice values; all-distinct: continuous rows
+    if distinct:
+        return st.lists(st.floats(-3, 3), min_size=1, max_size=40, unique=True)
+    return st.lists(st.integers(0, 3).map(float), min_size=1, max_size=40)
+
+
+@pytest.mark.parametrize("distinct", [False, True])
+def test_gram_sum_bit_identical_across_threads_property(distinct):
+    @given(_rows(distinct), _rows(distinct))
+    @settings(max_examples=60, deadline=None)
+    def check(xs, ys):
+        a, b = Dataset("a", np.array(xs)), Dataset("b", np.array(ys))
+        # a tiny block size splits even these inputs into many row blocks
+        with mock.patch.object(kernel, "_BLOCK_ENTRIES", 8):
+            got = [gram_sum(CFG, a, b, threads=t) for t in (1, 2, 4)]
+        assert got[0] == got[1] == got[2]
+
+    check()

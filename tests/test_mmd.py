@@ -1,8 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from distval import kernel
+from distval.mmd import mmd2_unpaired
 from distval import (
     Dataset,
     DiscretePmf,
@@ -34,6 +39,12 @@ def pmf(support, probs):
 def test_biased_identical_datasets():
     a = ds([0.0], [2.0], [5.0])
     assert mmd_biased(CFG, a, a) == 0.0
+
+
+def test_biased_identical_duplicate_heavy_dataset():
+    a = ds(*([[0.0]] * 7 + [[2.0]] * 3 + [[5.0]] * 11))
+    assert mmd_biased(CFG, a, a) == 0.0
+    assert mmd_biased(CFG, a, Dataset("copy", a.points)) == 0.0
 
 
 def test_biased_two_singletons():
@@ -84,6 +95,15 @@ def test_u_stat_can_be_negative():
         b = Dataset("b", rng.normal(size=(5, 1)))
         vals.append(mmd2_unbiased(CFG, a, b))
     assert min(vals) < 0.0  # unbiasedness around 0 forces negative excursions
+
+
+def test_unpaired_u_stat_keeps_every_cross_pair():
+    a, b = ds([0.0], [1.0]), ds([0.0], [1.0])
+    # within terms 2 * exp(-0.5) / 2 each, cross term 2 * (2 + 2 exp(-0.5)) / 4
+    assert mmd2_unpaired(CFG, a, b) == pytest.approx(-1.0 + math.exp(-0.5), rel=1e-13)
+    assert mmd2_unbiased(CFG, a, b) == pytest.approx(0.0, abs=1e-15)
+    c = ds([0.0], [1.0], [3.0])
+    assert mmd2_unpaired(CFG, a, c) == mmd2_unbiased(CFG, a, c)
 
 
 def test_discrete_identical():
@@ -167,3 +187,71 @@ def test_u_stat_mean_matches_exact_squared():
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     assert abs(vals.mean() - target) <= 3.0 * se
+
+
+# Property tests. Samples are 1-D or 2-D rows: "lattice" rows take a few
+# integer values, so most rows repeat; the other rows are all distinct.
+
+def _samples(dim, lattice):
+    coord = st.integers(0, 3).map(float) if lattice else st.floats(-4, 4)
+    row = st.lists(coord, min_size=dim, max_size=dim)
+    rows = st.lists(row, min_size=1, max_size=30, unique_by=None if lattice else tuple)
+    return rows.map(np.array)
+
+
+def _pair():
+    return st.tuples(st.integers(1, 2), st.booleans()).flatmap(
+        lambda dl: st.tuples(_samples(*dl), _samples(*dl))
+    )
+
+
+def _empirical_pmf(x):
+    support, counts = np.unique(x, axis=0, return_counts=True)
+    return DiscretePmf(support, counts / counts.sum())
+
+
+# Squared values are compared: near MMD = 0 the square root turns 1e-17
+# rounding noise in the radicand into 1e-9 noise in the distance.
+
+
+@given(_pair(), st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_biased_invariant_under_row_permutation(pair, rnd):
+    x, y = pair
+    perm = list(range(len(x)))
+    rnd.shuffle(perm)
+    assert mmd_biased(CFG, Dataset("x", x[perm]), Dataset("y", y)) == mmd_biased(
+        CFG, Dataset("x", x), Dataset("y", y)
+    )
+
+
+@given(_pair(), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_biased_invariant_under_duplicating_every_row(pair, k):
+    x, y = pair
+    base = mmd_biased(CFG, Dataset("x", x), Dataset("y", y))
+    dup = mmd_biased(CFG, Dataset("x", np.repeat(x, k, axis=0)), Dataset("y", y))
+    assert dup**2 == pytest.approx(base**2, abs=1e-12)
+
+
+@given(_pair())
+@settings(max_examples=80, deadline=None)
+def test_biased_equals_discrete_on_empirical_pmfs(pair):
+    x, y = pair
+    sampled = mmd_biased(CFG, Dataset("x", x), Dataset("y", y))
+    exact = mmd_discrete(CFG, _empirical_pmf(x), _empirical_pmf(y))
+    assert sampled**2 == pytest.approx(exact**2, abs=1e-12)
+
+
+@pytest.mark.parametrize("lattice", [True, False])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_biased_bit_identical_across_threads(lattice, data):
+    dim = data.draw(st.integers(1, 2))
+    x, y = data.draw(_samples(dim, lattice)), data.draw(_samples(dim, lattice))
+    got = []
+    # a tiny block size splits even these inputs into many row blocks
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 8):
+        for t in (1, 2, 4):
+            got.append(mmd_biased(CFG, Dataset("x", x), Dataset("y", y), threads=t))
+    assert got[0] == got[1] == got[2]

@@ -5,6 +5,7 @@ import pytest
 
 from distval import (
     Dataset,
+    DecisionReport,
     HuberSpec,
     InputError,
     KernelConfig,
@@ -173,7 +174,7 @@ def test_report_serializes_to_json():
 
 def test_rank_single_vendor():
     a = ds("a", [0.0])
-    got = rank_vendors(CFG, PolicyParams(0.0, 0.1), [a], _gt_ref(a))
+    got = rank_vendors(CFG, [a], _gt_ref(a))
     assert got == [("a", 0.0)]
 
 
@@ -183,12 +184,58 @@ def test_rank_orders_by_contamination():
     clean = sample_huber(HuberSpec(0.0, d0, None), 2000, seed=5, dataset_id="clean")
     dirty = sample_huber(HuberSpec(0.5, d0, d5), 2000, seed=6, dataset_id="dirty")
     ref = _gt_ref(sample_huber(HuberSpec(0.0, d0, None), 2000, seed=7, dataset_id="r"))
-    got = rank_vendors(CFG, PolicyParams(0.0, 0.1), [dirty, clean], ref)
+    got = rank_vendors(CFG, [dirty, clean], ref)
     assert [vid for vid, _ in got] == ["clean", "dirty"]
 
 
 def test_rank_ties_break_by_id():
     a, b = ds("b", [1.0]), ds("a", [1.0])
     ref = _gt_ref(ds("r", [0.0]))
-    got = rank_vendors(CFG, PolicyParams(0.0, 0.1), [a, b], ref)
+    got = rank_vendors(CFG, [a, b], ref)
     assert [vid for vid, _ in got] == ["a", "b"]
+
+
+def test_report_json_is_strict():
+    rep = DecisionReport(
+        margin=math.nan, observed_gap=0.0, delta=1.0, confidence=0.0,
+        verdict=Verdict.INCONCLUSIVE, extra_term=0.0,
+    )
+    with pytest.raises(ValueError):
+        rep.to_json()
+
+
+def _count_self_sums(monkeypatch, data):
+    """Counts weighted Gram sums of `data`'s atoms against themselves."""
+    import distval.mmd
+
+    rows = data.atoms[0]
+    calls = []
+    real = distval.mmd.weighted_gram_sum
+
+    def counting(cfg, X, wx, Y, wy, threads=None):
+        if X is rows and Y is rows:
+            calls.append(1)
+        return real(cfg, X, wx, Y, wy, threads)
+
+    monkeypatch.setattr(distval.mmd, "weighted_gram_sum", counting)
+    return calls
+
+
+def test_rank_computes_reference_self_sum_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    ref = _gt_ref(Dataset("r", rng.normal(size=(30, 2))))
+    vendors = [Dataset(f"v{i}", rng.normal(i, 1.0, size=(12, 2))) for i in range(5)]
+    calls = _count_self_sums(monkeypatch, ref.data)
+    ranked = rank_vendors(CFG, vendors, ref)
+    assert len(ranked) == 5
+    assert len(calls) == 1
+
+
+def test_compare_computes_reference_self_sum_once(monkeypatch):
+    rng = np.random.default_rng(22)
+    ref = _gt_ref(Dataset("r", rng.integers(0, 4, size=(40, 1))))
+    a, b = Dataset("a", rng.integers(0, 4, size=(20, 1))), Dataset("b", rng.normal(size=(25, 1)))
+    calls = _count_self_sums(monkeypatch, ref.data)
+    compare(CFG, PolicyParams(0.0, 0.1), a, b, ref)
+    compare(CFG, PolicyParams(0.0, 0.1), b, a, ref)
+    assert len(calls) == 1
