@@ -14,7 +14,7 @@ from .errors import (
     UndefinedCorrelationError,
     UnsupportedModeError,
 )
-from .kernel import KernelConfig, KernelFamily, gram_sum, kernel_eval, median_heuristic
+from .kernel import KernelConfig, gram_sum, kernel_eval, median_heuristic
 from .mmd import mmd2_unbiased, mmd_biased, mmd_discrete
 from .huber import (
     HuberSpec,
@@ -32,7 +32,6 @@ from .valuation import (
     build_mixture_reference,
     build_uniform_reference,
     mixture_pmf,
-    uniform_mixture_pmf,
     value_dataset,
     value_distribution_exact,
 )
@@ -51,8 +50,6 @@ from .game import (
     MinmaxReport,
     analytic_game_value,
     build_game,
-    sampled_column_check,
-    uniform_strategy_value,
     verify_minmax,
 )
 from .metrics import ValueVector, inversions, l2_err, l_inf_err, pearson
@@ -84,7 +81,6 @@ __all__ = [
     "HuberSpec",
     "InputError",
     "KernelConfig",
-    "KernelFamily",
     "MinmaxReport",
     "MixtureWeights",
     "PolicyParams",
@@ -128,10 +124,7 @@ __all__ = [
     "run_incentive",
     "run_policy_soundness",
     "sample_huber",
-    "sampled_column_check",
     "summarize",
-    "uniform_mixture_pmf",
-    "uniform_strategy_value",
     "value_dataset",
     "value_distribution_exact",
     "verify_minmax",

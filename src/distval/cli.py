@@ -184,8 +184,22 @@ def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
     raise InputError(f"unknown reference kind {kind!r}")
 
 
+def _section(cfg: dict, name: str, keys: tuple[str, ...]) -> dict:
+    """The config's `name` object; any key outside `keys` is an input error."""
+    sec = cfg.get(name, {})
+    if not isinstance(sec, dict):
+        raise InputError(f"config: '{name}' must be an object")
+    unknown = sorted(set(sec) - set(keys))
+    if unknown:
+        raise InputError(
+            f"config: unknown {name} key(s) {', '.join(map(repr, unknown))};"
+            f" {name} takes only {', '.join(keys)}"
+        )
+    return sec
+
+
 def _policy_from(cfg: dict, args) -> PolicyParams:
-    pol = dict(cfg.get("policy", {}))
+    pol = dict(_section(cfg, "policy", ("eps_bias", "eps_upsilon")))
     if args.eps_bias is not None:
         pol["eps_bias"] = args.eps_bias
     if args.eps_upsilon is not None:
@@ -195,7 +209,6 @@ def _policy_from(cfg: dict, args) -> PolicyParams:
     return PolicyParams(
         eps_upsilon=float(pol.get("eps_upsilon", 0.0)),
         eps_bias=float(pol["eps_bias"]),
-        k_bound=float(pol.get("k_bound", 1.0)),
     )
 
 
@@ -216,7 +229,8 @@ def _prepare_data(cfg: dict, args):
     manifest = _manifest_from_config(cfg)
     datasets = ingest(manifest)
     gt = ingest_ground_truth(manifest)
-    sigma_spec = args.sigma if args.sigma is not None else cfg.get("kernel", {}).get("sigma", "auto")
+    kernel_cfg = _section(cfg, "kernel", ("sigma",))
+    sigma_spec = args.sigma if args.sigma is not None else kernel_cfg.get("sigma", "auto")
     sigma = _resolve_sigma(sigma_spec, datasets, gt)
     kernel = KernelConfig(sigma=sigma)
     return manifest, datasets, gt, kernel
@@ -309,7 +323,8 @@ def cmd_experiment(cfg: dict, args) -> int:
     if args.seed is None and "seed" not in exp:
         raise InputError("--seed is required for experiments")
     seed = args.seed if args.seed is not None else int(exp["seed"])
-    sigma_spec = args.sigma if args.sigma is not None else cfg.get("kernel", {}).get("sigma", 1.0)
+    kernel_cfg = _section(cfg, "kernel", ("sigma",))
+    sigma_spec = args.sigma if args.sigma is not None else kernel_cfg.get("sigma", 1.0)
     if sigma_spec == "auto":
         raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
     try:
@@ -324,7 +339,18 @@ def cmd_experiment(cfg: dict, args) -> int:
         kernel=KernelConfig(sigma=float(sigma_spec)),
         extra=dict(exp.get("extra", {})),
     )
-    report = run(econfig, timing=args.timing)
+    saved_threads = os.environ.get(THREADS_ENV_VAR)
+    try:
+        if args.threads is not None:
+            # The runners read the worker count from the environment; the
+            # finally clause restores it for later in-process callers.
+            os.environ[THREADS_ENV_VAR] = str(args.threads)
+        report = run(econfig, timing=args.timing)
+    finally:
+        if saved_threads is None:
+            os.environ.pop(THREADS_ENV_VAR, None)
+        else:
+            os.environ[THREADS_ENV_VAR] = saved_threads
     if args.format == "csv":
         if not args.out:
             raise InputError("--format csv for experiments requires --out")
@@ -384,72 +410,66 @@ def _note_provenance(resolved: dict):
 
 
 def _provenance(args, kernel: KernelConfig | None, **extra) -> dict:
-    out = {
-        "seed": args.seed,
-        "threads": args.threads,
-        "format": args.format,
-        "config_path": args.config,
-    }
+    out = {"seed": args.seed}
+    for flag in ("threads", "format"):
+        if hasattr(args, flag):
+            out[flag] = getattr(args, flag)
+    out["config_path"] = args.config
     if kernel is not None:
-        out["kernel"] = {"family": kernel.family.value, "sigma": kernel.sigma}
+        out["kernel"] = {"sigma": kernel.sigma}
     out.update(extra)
     return out
 
 
+# Each command accepts only the flags it reads.
+_DATA_FLAGS = ("config", "seed", "sigma", "out", "threads")
 _COMMANDS = {
-    "value": cmd_value,
-    "rank": cmd_rank,
-    "compare": cmd_compare,
-    "experiment": cmd_experiment,
-    "verify-game": cmd_verify_game,
+    "value": (cmd_value, _DATA_FLAGS + ("format",)),
+    "rank": (cmd_rank, _DATA_FLAGS + ("format",)),
+    "compare": (cmd_compare, _DATA_FLAGS + ("eps-bias", "eps-upsilon")),
+    "experiment": (cmd_experiment, _DATA_FLAGS + ("format", "timing")),
+    "verify-game": (cmd_verify_game, ("config", "seed", "out")),
+}
+
+_FLAGS = {
+    "config": {"help": "JSON run-configuration file"},
+    "seed": {"type": int, "help": "seed; required for stochastic commands"},
+    "sigma": {"help": "kernel bandwidth, a number or 'auto'"},
+    "eps-bias": {"type": float},
+    "eps-upsilon": {"type": float},
+    "out": {"help": "write the report here instead of stdout"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "threads": {"type": int, "help": f"worker threads; falls back to ${THREADS_ENV_VAR}"},
+    "timing": {"action": "store_true", "help": "include wall-clock timing in experiment reports"},
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="distval", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON run-configuration file")
-        p.add_argument("--seed", type=int, default=None, help="seed; required for stochastic commands")
-        p.add_argument("--sigma", default=None, help="kernel bandwidth, a number or 'auto'")
-        p.add_argument("--eps-bias", type=float, default=None, dest="eps_bias")
-        p.add_argument("--eps-upsilon", type=float, default=None, dest="eps_upsilon")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads; falls back to ${THREADS_ENV_VAR}")
-        p.add_argument("--timing", action="store_true",
-                       help="include wall-clock timing in experiment reports")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    saved_threads = os.environ.get(THREADS_ENV_VAR)
     try:
         args = parser.parse_args(argv)
-        if args.threads is not None:
-            # Experiment runners read the worker count from the environment;
-            # the finally clause restores it for later in-process callers.
-            os.environ[THREADS_ENV_VAR] = str(args.threads)
         cfg = _load_config(args.config)
         print(
             f"distval {args.command}: seed={args.seed} config={args.config}",
             file=sys.stderr,
         )
-        return _COMMANDS[args.command](cfg, args)
+        return _COMMANDS[args.command][0](cfg, args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PropertyViolation as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 2
-    finally:
-        if saved_threads is None:
-            os.environ.pop(THREADS_ENV_VAR, None)
-        else:
-            os.environ[THREADS_ENV_VAR] = saved_threads
 
 
 if __name__ == "__main__":

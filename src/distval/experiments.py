@@ -39,7 +39,6 @@ from .valuation import (
     ReferenceKind,
     approximation_error_bound,
     build_uniform_reference,
-    uniform_mixture_pmf,
     value_distribution_exact,
 )
 
@@ -149,11 +148,7 @@ def _echo_config(cfg: ExperimentConfig) -> dict:
         "n": cfg.n,
         "trials": cfg.trials,
         "seed": cfg.seed,
-        "kernel": {
-            "family": cfg.kernel.family.value,
-            "sigma": cfg.kernel.sigma,
-            "k_bound": cfg.kernel.k_bound,
-        },
+        "kernel": {"sigma": cfg.kernel.sigma},
         "extra": cfg.resolved_extra(),
     }
 
@@ -220,7 +215,7 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
         base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seed_pop)
         pmfs = [realized_pmf(s) for s in specs]
         true = np.array([value_distribution_exact(cfg.kernel, p, base) for p in pmfs])
-        p_mix = uniform_mixture_pmf(specs)
+        p_mix = mix_pmfs(pmfs, MixtureWeights.uniform(cfg.n).weights)
         measured = np.array([value_distribution_exact(cfg.kernel, p, p_mix) for p in pmfs])
         error = -true
         ids = tuple(f"v{i}" for i in range(cfg.n))

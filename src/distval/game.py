@@ -15,7 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import CapacityError, InputError, PropertyViolation
+from .errors import CapacityError, InputError
 
 MAX_EXPLICIT_N = 7  # 7! = 5040 columns; the largest payoff matrix we materialise
 CERT_TOL = 1e-12
@@ -69,19 +69,6 @@ def analytic_game_value(distances) -> float:
     return float(-d.mean())
 
 
-def uniform_strategy_value(g: GameInstance, tol: float = CERT_TOL) -> float:
-    """Value of the uniform row strategy: min over columns of its expected payoff.
-
-    Each column sums the same set of payoffs, so the per-column value must be
-    constant; a spread above tol is a real defect and raises.
-    """
-    col_values = g.payoff.mean(axis=0)
-    spread = float(col_values.max() - col_values.min())
-    if spread > tol:
-        raise PropertyViolation(f"uniform row value varies across columns by {spread!r}")
-    return float(col_values.min())
-
-
 def verify_minmax(g: GameInstance, tol: float = CERT_TOL) -> MinmaxReport:
     """Check optimality of the uniform strategies by matching primal and dual values.
 
@@ -116,16 +103,3 @@ def verify_minmax(g: GameInstance, tol: float = CERT_TOL) -> MinmaxReport:
         certified=certified,
         tolerance=tol,
     )
-
-
-def sampled_column_check(distances, samples: int, seed: int, tol: float = CERT_TOL) -> bool:
-    """Spot-check for n beyond the explicit cap: the uniform row value over
-    randomly sampled permutation columns must equal -mean(distances)."""
-    d = np.asarray(distances, dtype=float)
-    rng = np.random.default_rng(seed)
-    target = analytic_game_value(d)
-    for _ in range(samples):
-        perm = rng.permutation(d.shape[0])
-        if abs(float(-d[perm].mean()) - target) > tol:
-            return False
-    return True

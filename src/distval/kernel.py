@@ -12,7 +12,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -25,29 +24,20 @@ _BLOCK_ENTRIES = 4_194_304
 THREADS_ENV_VAR = "DISTVAL_THREADS"
 
 
-class KernelFamily(str, Enum):
-    RBF = "rbf"
+# The bound K on kernel values that the MMD concentration bounds take. For the
+# RBF kernel k(x, x) = 1 and every other entry lies in (0, 1], so K = 1.
+K_BOUND = 1.0
 
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Kernel family, bandwidth, and the uniform bound K on kernel values.
-
-    For the RBF family k(x, x') = exp(-||x - x'||^2 / (2 sigma^2)), so
-    k(x, x) = 1 and k_bound must be 1.
-    """
+    """Bandwidth of the RBF kernel k(x, x') = exp(-||x - x'||^2 / (2 sigma^2))."""
 
     sigma: float
-    family: KernelFamily = KernelFamily.RBF
-    k_bound: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.sigma < math.inf):
             raise InputError(f"kernel: sigma must be positive and finite, got {self.sigma!r}")
-        if not (self.k_bound > 0):
-            raise InputError(f"kernel: k_bound must be positive, got {self.k_bound!r}")
-        if self.family is KernelFamily.RBF and self.k_bound != 1.0:
-            raise InputError("kernel: RBF is bounded by 1, so k_bound must be 1")
 
 
 def resolve_threads(threads: int | None = None) -> int:

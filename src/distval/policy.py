@@ -14,23 +14,20 @@ from enum import Enum
 
 from .data import Dataset
 from .errors import InputError
-from .kernel import KernelConfig
+from .kernel import K_BOUND, KernelConfig
 from .valuation import Reference, ReferenceKind, value_dataset
 
 
 @dataclass(frozen=True)
 class PolicyParams:
-    """Buyer-chosen decision margin, bias requirement, and kernel bound K."""
+    """Buyer-chosen decision margin and bias requirement."""
 
     eps_upsilon: float
     eps_bias: float
-    k_bound: float = 1.0
 
     def __post_init__(self):
         if self.eps_upsilon < 0 or self.eps_bias < 0:
             raise InputError("policy: eps_upsilon and eps_bias must be >= 0")
-        if not (self.k_bound > 0):
-            raise InputError("policy: k_bound must be positive")
 
 
 class Verdict(str, Enum):
@@ -70,7 +67,7 @@ def criterion_margin_gt(p: PolicyParams, m: int, m_prime: int, m_star: int) -> f
     """
     if min(m, m_prime, m_star) < 1:
         raise InputError("criterion margin: sample sizes must be >= 1")
-    k = p.k_bound
+    k = K_BOUND
     return p.eps_upsilon + 2.0 * (
         p.eps_bias + math.sqrt(k / m) + math.sqrt(k / m_prime) + 2.0 * math.sqrt(k / m_star)
     )
@@ -96,7 +93,7 @@ def confidence_delta(p: PolicyParams, m: int, m_prime: int, m_ref: int) -> float
     if min(m, m_prime, m_ref) < 1:
         raise InputError("confidence_delta: sample sizes must be >= 1")
     mbar = max(m, m_prime)
-    expo = -(p.eps_bias**2) * mbar * m_ref / (2.0 * p.k_bound * (mbar + m_ref))
+    expo = -(p.eps_bias**2) * mbar * m_ref / (2.0 * K_BOUND * (mbar + m_ref))
     return 2.0 * math.exp(expo)
 
 

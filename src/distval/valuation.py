@@ -103,10 +103,6 @@ def mixture_pmf(specs: list[HuberSpec], w: MixtureWeights) -> DiscretePmf:
     return mix_pmfs([realized_pmf(s) for s in specs], w.weights)
 
 
-def uniform_mixture_pmf(specs: list[HuberSpec]) -> DiscretePmf:
-    return mixture_pmf(specs, MixtureWeights.uniform(len(specs)))
-
-
 def approximation_error_bound(
     specs: list[HuberSpec], w: MixtureWeights, cfg: KernelConfig
 ) -> float:

@@ -285,10 +285,61 @@ def test_threads_flag_does_not_leak_into_environment(tmp_path, capsys, monkeypat
         monkeypatch.delenv("DISTVAL_THREADS", raising=False)
     else:
         monkeypatch.setenv("DISTVAL_THREADS", before)
-    p = tmp_path / "g.json"
-    p.write_text(json.dumps({"game": {"distances": [0.2, 0.6]}}))
-    assert main(["verify-game", "--threads", "3", "--config", str(p)]) == 0
+    p = tmp_path / "e.json"
+    p.write_text(json.dumps({"experiment": {"name": "game_verify", "n": 2, "trials": 1}}))
+    assert main(["experiment", "--threads", "3", "--seed", "1", "--config", str(p)]) == 0
     assert os.environ.get("DISTVAL_THREADS") == before
+
+
+@pytest.mark.parametrize(
+    "sections, named",
+    [
+        # a caller-set K once shrank the margin and turned Inconclusive into Conclude
+        ({"policy": {"eps_bias": 0.1, "k_bound": 0.01}}, "k_bound"),
+        ({"policy": {"eps_bias": 0.1}, "kernel": {"sigma": 1.0, "k_bound": 0.01}}, "k_bound"),
+        ({"policy": 0.1}, "policy"),
+    ],
+    ids=["policy-k_bound", "kernel-k_bound", "policy-not-an-object"],
+)
+def test_compare_rejects_unknown_policy_and_kernel_keys(
+    tmp_path, vendor_files, capsys, sections, named
+):
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"}, **sections)
+    assert main(["compare", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and named in err
+
+
+def test_compare_resolved_config_echoes_only_its_flags(tmp_path, vendor_files, capsys):
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
+    assert main(["compare", "--config", str(cfg), "--eps-bias", "0.1"]) == 0
+    resolved = json.loads(capsys.readouterr().out)["resolved_config"]
+    assert "format" not in resolved
+    assert resolved["kernel"] == {"sigma": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("compare", ["--format", "csv"]),
+        ("value", ["--eps-bias", "1"]),
+        ("rank", ["--timing"]),
+        ("verify-game", ["--sigma", "1"]),
+        ("verify-game", ["--threads", "7"]),
+    ],
+)
+def test_commands_reject_flags_they_do_not_read(tmp_path, vendor_files, capsys, command, flag):
+    cfg = _config(
+        tmp_path,
+        vendor_files,
+        compare={"left": "a", "right": "b"},
+        policy={"eps_bias": 0.1},
+        game={"distances": [0.2, 0.6]},
+    )
+    assert main([command, "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(cfg), *flag]) == 1
+    assert f"error: unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_reports_are_strict_json(tmp_path):

@@ -5,8 +5,6 @@ from distval import (
     CapacityError,
     analytic_game_value,
     build_game,
-    sampled_column_check,
-    uniform_strategy_value,
     verify_minmax,
 )
 
@@ -35,15 +33,18 @@ def test_build_capacity_limits():
 
 
 def test_uniform_value_two_vendors():
-    assert uniform_strategy_value(build_game([0.2, 0.6])) == pytest.approx(-0.4, abs=1e-15)
+    assert verify_minmax(build_game([0.2, 0.6])).uniform_value == pytest.approx(-0.4, abs=1e-15)
 
 
 def test_uniform_value_constant():
-    assert uniform_strategy_value(build_game([0.7, 0.7])) == pytest.approx(-0.7, abs=1e-15)
+    rep = verify_minmax(build_game([0.7, 0.7]))
+    assert rep.uniform_value == pytest.approx(-0.7, abs=1e-15)
+    assert rep.column_spread == 0.0
 
 
 def test_uniform_value_three_vendors():
-    assert uniform_strategy_value(build_game([0.0, 0.3, 0.6])) == pytest.approx(-0.3, abs=1e-15)
+    rep = verify_minmax(build_game([0.0, 0.3, 0.6]))
+    assert rep.uniform_value == pytest.approx(-0.3, abs=1e-15)
 
 
 def test_verify_known_game():
@@ -81,8 +82,8 @@ def test_verify_all_supported_sizes():
 def test_scale_equivariance():
     rng = np.random.default_rng(300)
     d = rng.uniform(0.1, 1.0, size=4)
-    z1 = uniform_strategy_value(build_game(d))
-    z3 = uniform_strategy_value(build_game(3.0 * d))
+    z1 = verify_minmax(build_game(d)).uniform_value
+    z3 = verify_minmax(build_game(3.0 * d)).uniform_value
     assert z3 == pytest.approx(3.0 * z1, rel=1e-12)
     assert verify_minmax(build_game(3.0 * d)).certified
 
@@ -96,7 +97,6 @@ def test_report_json_roundtrip():
     assert decoded["n"] == 2
 
 
-def test_analytic_value_and_sampled_check_for_large_n():
+def test_analytic_value_for_large_n():
     d = np.linspace(0.0, 1.0, 50)
     assert analytic_game_value(d) == pytest.approx(-0.5, abs=1e-12)
-    assert sampled_column_check(d, samples=200, seed=0)

@@ -22,8 +22,8 @@ def test_config_validation():
         KernelConfig(sigma=0.0)
     with pytest.raises(InputError):
         KernelConfig(sigma=-1.0)
-    with pytest.raises(InputError):
-        KernelConfig(sigma=1.0, k_bound=2.0)  # RBF is bounded by 1
+    with pytest.raises(TypeError):
+        KernelConfig(sigma=1.0, k_bound=2.0)  # K is fixed by the RBF kernel
     for bad in (math.inf, math.nan):
         with pytest.raises(InputError, match="finite"):
             KernelConfig(sigma=bad)
@@ -56,7 +56,7 @@ def test_eval_symmetry_and_bounds_random_pairs():
         x, y = rng.normal(size=3), rng.normal(size=3)
         k_xy = kernel_eval(CFG, x, y)
         assert k_xy == kernel_eval(CFG, y, x)
-        assert 0.0 < k_xy <= CFG.k_bound
+        assert 0.0 < k_xy <= kernel.K_BOUND
 
 
 # coordinate and bandwidth ranges keep the exponent above the float64

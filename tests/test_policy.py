@@ -36,6 +36,12 @@ def test_params_validation():
         PolicyParams(eps_upsilon=0.0, eps_bias=-0.1)
 
 
+def test_params_have_no_kernel_bound():
+    # K is fixed by the RBF kernel; a caller-supplied bound could void the guarantee
+    with pytest.raises(TypeError):
+        PolicyParams(eps_upsilon=0, eps_bias=0.1, k_bound=0.01)
+
+
 def test_margin_gt_hand_arithmetic():
     p = PolicyParams(eps_upsilon=0.0, eps_bias=0.1)
     # 2 * (0.1 + 0.01 + 0.01 + 2 * 0.01) = 0.28
