@@ -22,6 +22,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentName,
     run,
+    write_csv,
     write_curve_csvs,
     write_rows_csv,
 )
@@ -136,80 +137,135 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # finite and within float range: JSON has no NaN or infinity (json.load
+    # accepts both), and an int/float comparison is exact for any int
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _one_of(values) -> tuple:
+    values = list(values)
+    return "one of " + ", ".join(map(json.dumps, values)), lambda v: v in values
+
+
+# What `_Section.get` accepts: the JSON type its error names, and the test.
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", _is_integer)
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+_STRING = ("a string", lambda v: isinstance(v, str))
+_OBJECT = ("an object", lambda v: isinstance(v, dict))
+_LIST = ("a list", lambda v: isinstance(v, list))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)))
+_SIGMA = ('a number or "auto"', lambda v: v == "auto" or _is_number(v))
+_REQUIRED = object()
+
+
+class _Section:
+    """One object of the run config, named by its path (`manifest.vendors[0]`).
+
+    A key outside `keys` is an input error. `get` checks a value's JSON type
+    and returns it as written: no config value is coerced.
+    """
+
+    def __init__(self, obj, where: str, keys: tuple[str, ...]):
+        if not isinstance(obj, dict):
+            raise InputError(f"config: {where} must be an object, got {json.dumps(obj)}")
+        for key in obj:
+            if key not in keys:
+                raise InputError(
+                    f"config: {where}.{key} is not a known key;"
+                    f" {where} takes only {', '.join(keys)}"
+                )
+        self.obj = obj
+        self.where = where
+
+    def get(self, key: str, kind: tuple, default=_REQUIRED):
+        """`key`'s value if it has the JSON type `kind`; `default` when the key
+        is absent, or null where the default is None."""
+        if key not in self.obj or (self.obj[key] is None and default is None):
+            if default is _REQUIRED:
+                raise InputError(f"config: {self.where}.{key} is required")
+            return default
+        value = self.obj[key]
+        what, test = kind
+        if not test(value):
+            raise InputError(f"config: {self.where}.{key} must be {what}, got {json.dumps(value)}")
+        return value
+
+
+def _section(cfg: dict, name: str, keys: tuple[str, ...]) -> _Section:
+    """The config's top-level `name` object (empty when absent)."""
+    return _Section(cfg.get(name, {}), name, keys)
+
+
+def _flag_or(flag, value):
+    """A command-line flag, when given, overrides the config value."""
+    return value if flag is None else flag
+
+
 def _manifest_from_config(cfg: dict) -> VendorManifest:
-    m = cfg.get("manifest")
-    if not m:
-        raise InputError("config: a 'manifest' section is required for this command")
-    try:
-        entries = [(v["id"], v["path"]) for v in m["vendors"]]
-        return VendorManifest(
-            entries=entries,
-            dim=int(m["dim"]),
-            ground_truth=m.get("ground_truth"),
-            has_header=bool(m.get("has_header", False)),
-        )
-    except (KeyError, TypeError) as e:
-        raise InputError(f"config: malformed manifest: {e}") from None
+    m = _section(cfg, "manifest", ("dim", "has_header", "vendors", "ground_truth"))
+    entries = []
+    for i, obj in enumerate(m.get("vendors", _LIST)):
+        vendor = _Section(obj, f"manifest.vendors[{i}]", ("id", "path"))
+        entries.append((vendor.get("id", _STRING), vendor.get("path", _STRING)))
+    return VendorManifest(
+        entries=entries,
+        dim=m.get("dim", _INTEGER),
+        ground_truth=m.get("ground_truth", _STRING, None),
+        has_header=m.get("has_header", _BOOLEAN, False),
+    )
 
 
-def _resolve_sigma(spec, datasets: list[Dataset], gt: Dataset | None) -> float:
-    if spec == "auto":
-        pools = [d.points for d in datasets] + ([gt.points] if gt is not None else [])
-        pooled = Dataset(id="pooled", points=np.concatenate(pools, axis=0))
-        return median_heuristic(pooled, cap=1000)
-    try:
-        return float(spec)
-    except (TypeError, ValueError):
-        raise InputError(f"sigma must be a positive number or 'auto', got {spec!r}") from None
+def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfig:
+    """The kernel for --sigma, else config kernel.sigma. Sigma 'auto', the
+    default for data commands, is the median heuristic over the pooled rows;
+    experiments (pools None) have no data to pool and default to 1.0."""
+    kernel = _section(cfg, "kernel", ("sigma",))
+    spec = _flag_or(args.sigma, kernel.get("sigma", _SIGMA, 1.0 if pools is None else "auto"))
+    if spec != "auto":
+        try:
+            return KernelConfig(sigma=float(spec))
+        except ValueError:
+            raise InputError(f"sigma must be a positive number or 'auto', got {spec!r}") from None
+    if pools is None:
+        raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
+    pooled = Dataset(id="pooled", points=np.concatenate(pools, axis=0))
+    return KernelConfig(sigma=median_heuristic(pooled, cap=1000))
 
 
 def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
-    ref_cfg = cfg.get("reference", {"kind": "uniform"})
-    kind = ref_cfg.get("kind", "uniform")
-    if kind == "ground_truth":
+    sec = _section(cfg, "reference", ("kind", "weights", "total"))
+    kind = ReferenceKind(sec.get("kind", _one_of(ReferenceKind), "uniform"))
+    weights = sec.get("weights", _NUMBERS, None)
+    total = sec.get("total", _INTEGER, None)
+    if kind is ReferenceKind.GROUND_TRUTH:
         if gt is None:
             raise InputError("reference kind 'ground_truth' needs manifest.ground_truth")
-        return Reference(kind=ReferenceKind.GROUND_TRUTH, data=gt)
+        return Reference(kind=kind, data=gt)
     if seed is None:
-        raise InputError(f"--seed is required to build a seeded '{kind}' reference")
-    if kind == "uniform":
+        raise InputError(f"--seed is required to build a seeded '{kind.value}' reference")
+    if kind is ReferenceKind.UNIFORM:
         return build_uniform_reference(datasets, seed)
-    if kind == "mixture":
-        if "weights" not in ref_cfg:
-            raise InputError("mixture reference needs 'weights'")
-        w = MixtureWeights(np.asarray(ref_cfg["weights"], dtype=float))
-        m_min = min(len(d) for d in datasets)
-        total = int(ref_cfg.get("total", len(datasets) * m_min))
-        return build_mixture_reference(datasets, w, total, seed)
-    raise InputError(f"unknown reference kind {kind!r}")
-
-
-def _section(cfg: dict, name: str, keys: tuple[str, ...]) -> dict:
-    """The config's `name` object; any key outside `keys` is an input error."""
-    sec = cfg.get(name, {})
-    if not isinstance(sec, dict):
-        raise InputError(f"config: '{name}' must be an object")
-    unknown = sorted(set(sec) - set(keys))
-    if unknown:
-        raise InputError(
-            f"config: unknown {name} key(s) {', '.join(map(repr, unknown))};"
-            f" {name} takes only {', '.join(keys)}"
-        )
-    return sec
+    if weights is None:
+        raise InputError("config: reference.weights is required for a mixture reference")
+    if total is None:
+        total = len(datasets) * min(len(d) for d in datasets)
+    return build_mixture_reference(datasets, MixtureWeights(weights), total, seed)
 
 
 def _policy_from(cfg: dict, args) -> PolicyParams:
-    pol = dict(_section(cfg, "policy", ("eps_bias", "eps_upsilon")))
-    if args.eps_bias is not None:
-        pol["eps_bias"] = args.eps_bias
-    if args.eps_upsilon is not None:
-        pol["eps_upsilon"] = args.eps_upsilon
-    if "eps_bias" not in pol:
+    pol = _section(cfg, "policy", ("eps_bias", "eps_upsilon"))
+    eps_bias = _flag_or(args.eps_bias, pol.get("eps_bias", _NUMBER, None))
+    eps_upsilon = _flag_or(args.eps_upsilon, pol.get("eps_upsilon", _NUMBER, 0.0))
+    if eps_bias is None:
         raise InputError("eps_bias is required (config policy.eps_bias or --eps-bias)")
-    return PolicyParams(
-        eps_upsilon=float(pol.get("eps_upsilon", 0.0)),
-        eps_bias=float(pol["eps_bias"]),
-    )
+    return PolicyParams(eps_upsilon=eps_upsilon, eps_bias=eps_bias)
 
 
 def _emit(payload: dict, args) -> None:
@@ -229,55 +285,34 @@ def _prepare_data(cfg: dict, args):
     manifest = _manifest_from_config(cfg)
     datasets = ingest(manifest)
     gt = ingest_ground_truth(manifest)
-    kernel_cfg = _section(cfg, "kernel", ("sigma",))
-    sigma_spec = args.sigma if args.sigma is not None else kernel_cfg.get("sigma", "auto")
-    sigma = _resolve_sigma(sigma_spec, datasets, gt)
-    kernel = KernelConfig(sigma=sigma)
-    return manifest, datasets, gt, kernel
+    pools = [d.points for d in datasets] + ([gt.points] if gt is not None else [])
+    kernel = _kernel_from(cfg, args, pools)
+    return datasets, kernel, _build_reference(cfg, datasets, gt, args.seed)
 
 
 # with the RBF kernel (K = 1) every value lies in [-sqrt(2), 0]
 _VALUE_SCALE = {"min": -math.sqrt(2.0), "max": 0.0}
 
 
-def cmd_value(cfg: dict, args) -> int:
-    _, datasets, gt, kernel = _prepare_data(cfg, args)
-    ref = _build_reference(cfg, datasets, gt, args.seed)
-    values = [
-        {"id": d.id, "value": value_dataset(kernel, d, ref, args.threads)} for d in datasets
-    ]
+def cmd_score(cfg: dict, args) -> int:
+    """`value` scores the vendors in manifest order; `rank` sorts them best
+    first and adds a rank column."""
+    datasets, kernel, ref = _prepare_data(cfg, args)
+    if args.command == "rank":
+        ranked = rank_vendors(kernel, datasets, ref, args.threads)
+        result = [{"rank": i + 1, "id": vid, "value": val} for i, (vid, val) in enumerate(ranked)]
+    else:
+        result = [
+            {"id": d.id, "value": value_dataset(kernel, d, ref, args.threads)} for d in datasets
+        ]
     resolved = _provenance(args, kernel, ref=ref.kind.value)
     _note_provenance(resolved)
     if args.format == "csv":
-        _csv_stdout_or_file(["id", "value"], [(v["id"], v["value"]) for v in values], args)
+        write_csv(result, args.out)
         return 0
     _emit(
         {
-            "command": "value",
-            "resolved_config": resolved,
-            "value_scale": _VALUE_SCALE,
-            "result": values,
-        },
-        args,
-    )
-    return 0
-
-
-def cmd_rank(cfg: dict, args) -> int:
-    _, datasets, gt, kernel = _prepare_data(cfg, args)
-    ref = _build_reference(cfg, datasets, gt, args.seed)
-    ranked = rank_vendors(kernel, datasets, ref, args.threads)
-    result = [{"rank": i + 1, "id": vid, "value": val} for i, (vid, val) in enumerate(ranked)]
-    resolved = _provenance(args, kernel, ref=ref.kind.value)
-    _note_provenance(resolved)
-    if args.format == "csv":
-        _csv_stdout_or_file(
-            ["rank", "id", "value"], [(r["rank"], r["id"], r["value"]) for r in result], args
-        )
-        return 0
-    _emit(
-        {
-            "command": "rank",
+            "command": args.command,
             "resolved_config": resolved,
             "value_scale": _VALUE_SCALE,
             "result": result,
@@ -288,21 +323,14 @@ def cmd_rank(cfg: dict, args) -> int:
 
 
 def cmd_compare(cfg: dict, args) -> int:
-    _, datasets, gt, kernel = _prepare_data(cfg, args)
-    ref = _build_reference(cfg, datasets, gt, args.seed)
+    datasets, kernel, ref = _prepare_data(cfg, args)
     params = _policy_from(cfg, args)
-    cmp_cfg = cfg.get("compare", {})
+    cmp_cfg = _section(cfg, "compare", ("left", "right", "huber_gap"))
     by_id = {d.id: d for d in datasets}
-    try:
-        left, right = by_id[cmp_cfg["left"]], by_id[cmp_cfg["right"]]
-    except KeyError as e:
-        raise InputError(f"compare: unknown or missing vendor id {e}") from None
-    huber_gap = cmp_cfg.get("huber_gap")
-    report = compare(
-        kernel, params, left, right, ref,
-        huber_gap=None if huber_gap is None else float(huber_gap),
-        threads=args.threads,
-    )
+    vendor_id = _one_of(by_id)
+    left, right = (by_id[cmp_cfg.get(side, vendor_id)] for side in ("left", "right"))
+    huber_gap = cmp_cfg.get("huber_gap", _NUMBER, None)
+    report = compare(kernel, params, left, right, ref, huber_gap=huber_gap, threads=args.threads)
     resolved = _provenance(
         args, kernel, ref=ref.kind.value,
         policy={"eps_bias": params.eps_bias, "eps_upsilon": params.eps_upsilon},
@@ -317,27 +345,16 @@ def cmd_compare(cfg: dict, args) -> int:
 
 
 def cmd_experiment(cfg: dict, args) -> int:
-    exp = cfg.get("experiment")
-    if not exp:
-        raise InputError("config: an 'experiment' section is required")
-    if args.seed is None and "seed" not in exp:
+    exp = _section(cfg, "experiment", ("name", "n", "trials", "seed", "extra"))
+    name = ExperimentName(exp.get("name", _one_of(ExperimentName)))
+    n = exp.get("n", _INTEGER, 1)
+    trials = exp.get("trials", _INTEGER, 1)
+    seed = _flag_or(args.seed, exp.get("seed", _INTEGER, None))
+    extra = exp.get("extra", _OBJECT, {})
+    if seed is None:
         raise InputError("--seed is required for experiments")
-    seed = args.seed if args.seed is not None else int(exp["seed"])
-    kernel_cfg = _section(cfg, "kernel", ("sigma",))
-    sigma_spec = args.sigma if args.sigma is not None else kernel_cfg.get("sigma", 1.0)
-    if sigma_spec == "auto":
-        raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
-    try:
-        name = ExperimentName(exp.get("name", ""))
-    except ValueError:
-        raise InputError(f"unknown experiment name {exp.get('name')!r}") from None
     econfig = ExperimentConfig(
-        name=name,
-        n=int(exp.get("n", 1)),
-        trials=int(exp.get("trials", 1)),
-        seed=seed,
-        kernel=KernelConfig(sigma=float(sigma_spec)),
-        extra=dict(exp.get("extra", {})),
+        name=name, n=n, trials=trials, seed=seed, kernel=_kernel_from(cfg, args, None), extra=extra
     )
     saved_threads = os.environ.get(THREADS_ENV_VAR)
     try:
@@ -366,13 +383,14 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 
 def cmd_verify_game(cfg: dict, args) -> int:
-    game_cfg = cfg.get("game", {})
+    game_cfg = _section(cfg, "game", ("distances", "n_values", "trials"))
+    distances = game_cfg.get("distances", _NUMBERS, None)
+    n_values = game_cfg.get("n_values", _INTEGERS, [2, 3, 4, 5])
+    trials = game_cfg.get("trials", _INTEGER, 100)
     reports = []
-    if "distances" in game_cfg:
-        reports.append(verify_minmax(build_game(np.asarray(game_cfg["distances"], dtype=float))))
+    if distances is not None:
+        reports.append(verify_minmax(build_game(distances)))
     else:
-        n_values = game_cfg.get("n_values", [2, 3, 4, 5])
-        trials = int(game_cfg.get("trials", 100))
         if args.seed is None:
             raise InputError("--seed is required for randomized game verification")
         rng = np.random.default_rng(args.seed)
@@ -391,18 +409,6 @@ def cmd_verify_game(cfg: dict, args) -> int:
     if not all_ok:
         raise PropertyViolation("minimax certificate failed")
     return 0
-
-
-def _csv_stdout_or_file(header, rows, args):
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-    else:
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def _note_provenance(resolved: dict):
@@ -424,8 +430,8 @@ def _provenance(args, kernel: KernelConfig | None, **extra) -> dict:
 # Each command accepts only the flags it reads.
 _DATA_FLAGS = ("config", "seed", "sigma", "out", "threads")
 _COMMANDS = {
-    "value": (cmd_value, _DATA_FLAGS + ("format",)),
-    "rank": (cmd_rank, _DATA_FLAGS + ("format",)),
+    "value": (cmd_score, _DATA_FLAGS + ("format",)),
+    "rank": (cmd_score, _DATA_FLAGS + ("format",)),
     "compare": (cmd_compare, _DATA_FLAGS + ("eps-bias", "eps-upsilon")),
     "experiment": (cmd_experiment, _DATA_FLAGS + ("format", "timing")),
     "verify-game": (cmd_verify_game, ("config", "seed", "out")),

@@ -10,8 +10,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Any
 
@@ -583,15 +584,8 @@ def run(cfg: ExperimentConfig, timing: bool = False) -> ExperimentReport:
     start = time.perf_counter()
     report = _RUNNERS[cfg.name](cfg)
     if timing:
-        return ExperimentReport(
-            name=report.name,
-            config=report.config,
-            code_version=report.code_version,
-            rows=report.rows,
-            aggregates=report.aggregates,
-            curves=report.curves,
-            timing={"elapsed_seconds": time.perf_counter() - start, "trials": cfg.trials},
-        )
+        elapsed = time.perf_counter() - start
+        return replace(report, timing={"elapsed_seconds": elapsed, "trials": cfg.trials})
     return report
 
 
@@ -599,20 +593,26 @@ def run(cfg: ExperimentConfig, timing: bool = False) -> ExperimentReport:
 # serialization
 
 
+def write_csv(rows: list[dict], path: str | None = None):
+    """Row dicts as CSV to `path`, or to stdout without one. The columns are
+    every key in order of first appearance; a row without a key leaves its
+    cell empty."""
+    cols = list(dict.fromkeys(k for r in rows for k in r))
+    fh = open(path, "w", newline="") if path else sys.stdout
+    try:
+        w = csv.writer(fh)
+        w.writerow(cols)
+        w.writerows([r.get(c, "") for c in cols] for r in rows)
+    finally:
+        if path:
+            fh.close()
+
+
 def write_rows_csv(report: ExperimentReport, path: str):
     """Per-trial rows as CSV; column order follows the first row."""
     if not report.rows:
         raise InputError("report has no rows")
-    cols: list[str] = []
-    for r in report.rows:
-        for k in r:
-            if k not in cols:
-                cols.append(k)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for r in report.rows:
-            w.writerow([r.get(c, "") for c in cols])
+    write_csv(report.rows, path)
 
 
 def write_curve_csvs(report: ExperimentReport, base_path: str) -> list[str]:
@@ -620,10 +620,6 @@ def write_curve_csvs(report: ExperimentReport, base_path: str) -> list[str]:
     written = []
     for crit, points in report.curves.items():
         path = f"{base_path}_{crit}.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["fraction", "mean", "stderr"])
-            for pt in points:
-                w.writerow([pt["fraction"], pt["mean"], pt["stderr"]])
+        write_csv(points, path)  # each point is {fraction, mean, stderr}
         written.append(path)
     return written

@@ -26,8 +26,11 @@ class PolicyParams:
     eps_bias: float
 
     def __post_init__(self):
-        if self.eps_upsilon < 0 or self.eps_bias < 0:
-            raise InputError("policy: eps_upsilon and eps_bias must be >= 0")
+        for name in ("eps_upsilon", "eps_bias"):
+            value = float(getattr(self, name))
+            if not 0 <= value < math.inf:
+                raise InputError(f"policy: {name} must be finite and >= 0, got {value!r}")
+            object.__setattr__(self, name, value)
 
 
 class Verdict(str, Enum):
@@ -79,8 +82,8 @@ def criterion_margin_mix(
     """Margin for a mixture reference of size m_n: the ground-truth margin plus
     2 * huber_gap, where huber_gap = eps_mix * d(outlier_mix, base) (or any
     upper bound on it)."""
-    if huber_gap < 0:
-        raise InputError("criterion margin: huber_gap must be >= 0")
+    if not 0 <= huber_gap < math.inf:
+        raise InputError(f"criterion margin: huber_gap must be finite and >= 0, got {huber_gap!r}")
     return criterion_margin_gt(p, m, m_prime, m_n) + 2.0 * huber_gap
 
 

@@ -27,16 +27,10 @@ class ReferenceKind(str, Enum):
 
 @dataclass(frozen=True)
 class Reference:
-    """A realized reference sample, plus the exact pmf when one is known."""
+    """A realized reference sample and the kind of population it stands for."""
 
     kind: ReferenceKind
     data: Dataset
-    weights: MixtureWeights | None = None
-    exact: DiscretePmf | None = None
-
-    def __post_init__(self):
-        if self.kind is ReferenceKind.MIXTURE and self.weights is None:
-            raise InputError("mixture reference requires weights")
 
 
 def _common_dim(datasets: list[Dataset]) -> int:
@@ -82,7 +76,7 @@ def build_mixture_reference(
         if k:
             rows[take] = d.points[rng.integers(0, len(d), size=k)]
     data = Dataset(id="mixture-reference", points=rows)
-    return Reference(kind=ReferenceKind.MIXTURE, data=data, weights=w)
+    return Reference(kind=ReferenceKind.MIXTURE, data=data)
 
 
 def value_dataset(

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,29 @@ def test_cmd_value_csv_format(tmp_path, vendor_files, capsys):
     assert rc == 0
     assert lines[0] == "id,value"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("dest", ["stdout", "out"])
+@pytest.mark.parametrize("command", ["value", "rank"])
+def test_cmd_scores_csv_format(tmp_path, vendor_files, capsys, command, dest):
+    cfg = _config(tmp_path, vendor_files)
+    argv = [command, "--config", str(cfg), "--format", "csv"]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    if dest == "out":
+        out = tmp_path / "scores.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == text.encode()
+    lines = text.splitlines()
+    if command == "value":
+        assert lines[0] == "id,value"
+        assert [ln.split(",")[0] for ln in lines[1:]] == ["a", "b"]  # manifest order
+    else:
+        assert lines[0] == "rank,id,value"
+        rows = [ln.split(",") for ln in lines[1:]]
+        assert [r[:2] for r in rows] == [["1", "a"], ["2", "b"]]
+        assert float(rows[0][2]) > float(rows[1][2])
 
 
 def test_cmd_compare_zero_bias_confidence(tmp_path, vendor_files, capsys):
@@ -349,3 +373,83 @@ def test_reports_are_strict_json(tmp_path):
 
     with pytest.raises(ValueError):
         _emit({"value": float("nan")}, argparse.Namespace(out=str(tmp_path / "r.json")))
+
+
+# With the `_config` sections, a config that every command accepts; each
+# case below breaks one value of it.
+_EVERY_SECTION = {
+    "policy": {"eps_bias": 0.1, "eps_upsilon": 0.0},
+    "compare": {"left": "a", "right": "b", "huber_gap": 0.0},
+    "experiment": {"name": "game_verify", "n": 2, "trials": 1},
+    "game": {"n_values": [2], "trials": 2},
+}
+
+_MIXTURE = {"kind": "mixture", "weights": [0.5, 0.5], "total": 20}
+
+
+@pytest.mark.parametrize(
+    "command, key, value, named",
+    [
+        # once a traceback
+        ("compare", "policy.eps_bias", "abc", "policy.eps_bias"),
+        ("compare", "manifest.dim", "x", "manifest.dim"),
+        ("compare", "compare.huber_gap", "x", "compare.huber_gap"),
+        ("compare", "reference", "uniform", "reference"),
+        ("compare", "reference", {**_MIXTURE, "weights": ["a", "b"]}, "reference.weights"),
+        ("compare", "reference", {**_MIXTURE, "total": "x"}, "reference.total"),
+        ("compare", "compare", "a,b", "compare"),
+        ("experiment", "experiment.n", "x", "experiment.n"),
+        ("experiment", "experiment", ["game_verify"], "experiment"),
+        ("verify-game", "game.distances", ["a", "b"], "game.distances"),
+        ("verify-game", "game.trials", "x", "game.trials"),
+        # once coerced silently
+        ("value", "manifest.has_header", "false", "manifest.has_header"),
+        ("value", "kernel.sigma", True, "kernel.sigma"),
+        ("compare", "policy.eps_bias", True, "policy.eps_bias"),
+        ("experiment", "experiment.trials", 2.9, "experiment.trials"),
+        ("value", "manifest.dim", 2.7, "manifest.dim"),
+        # json.load reads NaN and Infinity, which strict JSON reports cannot hold
+        ("compare", "policy.eps_bias", math.nan, "policy.eps_bias"),
+        ("compare", "compare.huber_gap", math.inf, "compare.huber_gap"),
+        # one unknown key per section
+        ("value", "manifest.dims", 2, "manifest.dims"),
+        ("value", "manifest.vendors.0.ids", "a", "manifest.vendors[0].ids"),
+        ("value", "kernel.bandwidth", 1.0, "kernel.bandwidth"),
+        ("value", "reference.weight", [1.0], "reference.weight"),
+        ("compare", "policy.eps", 0.1, "policy.eps"),
+        ("compare", "compare.hubergap", 0.0, "compare.hubergap"),
+        ("experiment", "experiment.extras", {}, "experiment.extras"),
+        ("verify-game", "game.distance", [0.2, 0.6], "game.distance"),
+    ],
+)
+def test_malformed_config_is_input_error(
+    tmp_path, vendor_files, capsys, command, key, value, named
+):
+    p = _config(tmp_path, vendor_files, **_EVERY_SECTION)
+    cfg = json.loads(p.read_text())
+    *path, last = key.split(".")
+    obj = cfg
+    for part in path:
+        obj = obj[int(part)] if part.isdigit() else obj[part]
+    obj[last] = value
+    p.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(p), "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last_line = err.strip().splitlines()[-1]
+    assert last_line.startswith("error: config: ") and named in last_line
+
+
+def test_every_section_config_is_valid(tmp_path, vendor_files, capsys):
+    p = _config(tmp_path, vendor_files, **_EVERY_SECTION)
+    for command in ("value", "rank", "compare", "experiment", "verify-game"):
+        assert main([command, "--config", str(p), "--seed", "1"]) == 0, command
+
+
+@pytest.mark.parametrize("flag", ["--eps-bias", "--eps-upsilon"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_compare_rejects_non_finite_policy_flags(tmp_path, vendor_files, capsys, flag, bad):
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
+    assert main(["compare", "--config", str(cfg), "--eps-bias", "0.1", flag, bad]) == 1
+    name = flag[2:].replace("-", "_")
+    assert f"error: policy: {name} must be finite" in capsys.readouterr().err

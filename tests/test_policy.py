@@ -36,6 +36,21 @@ def test_params_validation():
         PolicyParams(eps_upsilon=0.0, eps_bias=-0.1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_policy_values_are_input_errors(bad):
+    with pytest.raises(InputError, match="eps_upsilon"):
+        PolicyParams(eps_upsilon=bad, eps_bias=0.1)
+    with pytest.raises(InputError, match="eps_bias"):
+        PolicyParams(eps_upsilon=0.0, eps_bias=bad)
+    with pytest.raises(InputError, match="huber_gap"):
+        criterion_margin_mix(PolicyParams(0.0, 0.1), 10, 10, 10, bad)
+
+
+def test_params_are_floats():
+    p = PolicyParams(eps_upsilon=0, eps_bias=1)
+    assert type(p.eps_upsilon) is float and type(p.eps_bias) is float
+
+
 def test_params_have_no_kernel_bound():
     # K is fixed by the RBF kernel; a caller-supplied bound could void the guarantee
     with pytest.raises(TypeError):
