@@ -96,7 +96,9 @@ def confidence_delta(p: PolicyParams, m: int, m_prime: int, m_ref: int) -> float
     if min(m, m_prime, m_ref) < 1:
         raise InputError("confidence_delta: sample sizes must be >= 1")
     mbar = max(m, m_prime)
-    expo = -(p.eps_bias**2) * mbar * m_ref / (2.0 * K_BOUND * (mbar + m_ref))
+    # A product, not **, so a huge eps_bias saturates to delta 0 instead of
+    # raising OverflowError.
+    expo = -(p.eps_bias * p.eps_bias) * mbar * m_ref / (2.0 * K_BOUND * (mbar + m_ref))
     return 2.0 * math.exp(expo)
 
 

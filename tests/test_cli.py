@@ -187,6 +187,24 @@ def test_cmd_compare_zero_bias_confidence(tmp_path, vendor_files, capsys):
     assert out["result"]["confidence"] == 0.0
 
 
+def _strict_json(text):
+    def reject(const):
+        raise ValueError(f"non-strict JSON constant {const}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cmd_compare_huge_eps_bias_saturates(tmp_path, vendor_files, capsys):
+    # eps_bias**2 would overflow; delta saturates to 0 under a huge margin
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
+    rc = main(["compare", "--config", str(cfg), "--eps-bias", "1e300"])
+    out = _strict_json(capsys.readouterr().out)
+    assert rc == 0
+    assert out["result"]["delta"] == 0.0
+    assert out["result"]["confidence"] == 1.0
+    assert out["result"]["verdict"] == "Inconclusive"
+
+
 def test_cmd_compare_concludes_on_separated_vendors(tmp_path, vendor_files, capsys):
     cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
     rc = main(["compare", "--config", str(cfg), "--eps-bias", "0.1"])

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -179,3 +182,101 @@ def test_gram_sum_bit_identical_across_threads_property(distinct):
         assert got[0] == got[1] == got[2]
 
     check()
+
+
+def test_weighted_self_sum_matches_dense_weighted_form():
+    # equal inputs take the symmetric route: sum w_i^2 + 2 sum_{i<j} w_i w_j k_ij
+    rng = np.random.default_rng(13)
+    cfg = KernelConfig(sigma=1.5)
+    X, w = rng.normal(size=(40, 3)), rng.uniform(0.1, 3.0, size=40)
+    dense = float(w @ kernel.gram_matrix(cfg, X, X) @ w)
+    assert weighted_gram_sum(cfg, X, w, X, w) == pytest.approx(dense, rel=1e-13)
+
+
+@pytest.mark.parametrize("unit", [True, False])
+def test_equal_content_cross_sum_is_bit_identical_to_self_sum(unit):
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(300, 2))
+    w = np.ones(300) if unit else rng.uniform(0.5, 2.0, size=300)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 4096):
+        self_sum = weighted_gram_sum(CFG, X, w, X, w)
+        assert weighted_gram_sum(CFG, X, w, X.copy(), w.copy()) == self_sum
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_tiny_blocks_agree_with_default_block_size(same):
+    rng = np.random.default_rng(15)
+    X, wx = rng.normal(size=(120, 3)), rng.uniform(0.5, 2.0, size=120)
+    Y, wy = (X, wx) if same else (rng.normal(size=(90, 3)), rng.uniform(0.5, 2.0, size=90))
+    default = weighted_gram_sum(CFG, X, wx, Y, wy)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 8):
+        assert weighted_gram_sum(CFG, X, wx, Y, wy, threads=2) == pytest.approx(default, rel=1e-12)
+
+
+def test_pool_never_larger_than_the_block_count():
+    rng = np.random.default_rng(16)
+    X, w = rng.normal(size=(3, 2)), np.ones(3)
+    with mock.patch.dict(kernel._POOLS, clear=True), mock.patch.object(kernel, "_BLOCK_ENTRIES", 3):
+        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks
+        assert set(kernel._POOLS) == {3}
+        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one block runs serially
+        assert set(kernel._POOLS) == {3}
+
+
+def test_concurrent_callers_share_the_pool_safely():
+    # more calling threads than cores, each fanning out to the shared pools
+    rng = np.random.default_rng(17)
+    X, Y = rng.normal(size=(60, 2)), rng.normal(size=(50, 2))
+    wx, wy = np.ones(60), rng.uniform(0.5, 2.0, size=50)
+    results, errors = [], []
+
+    def call(t):
+        try:
+            results.append(weighted_gram_sum(CFG, X, wx, Y, wy, threads=t))
+        except Exception as e:  # reported by the assertion below
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(kernel, "_BLOCK_ENTRIES", 64):
+            expected = weighted_gram_sum(CFG, X, wx, Y, wy, threads=1)
+            workers = [threading.Thread(target=call, args=(1 + i % 4,)) for i in range(8)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in workers)
+    assert errors == []
+    assert results == [expected] * len(workers)
+
+
+_FORK_X = np.random.default_rng(18).normal(size=(50, 2))
+
+
+def _threaded_sum(queue=None):
+    w = np.ones(len(_FORK_X))
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 64):
+        got = weighted_gram_sum(CFG, _FORK_X, w, _FORK_X + 1.0, w, threads=2)
+    if queue is not None:
+        queue.put(got)
+    return got
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
+def test_forked_child_does_not_reuse_the_parents_pool():
+    # the child inherits the pool object but none of its threads
+    expected = _threaded_sum()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_threaded_sum, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == expected
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from distval import kernel
@@ -13,6 +13,7 @@ from distval import (
     DiscretePmf,
     InputError,
     KernelConfig,
+    median_heuristic,
     mmd2_unbiased,
     mmd_biased,
     mmd_discrete,
@@ -45,6 +46,12 @@ def test_biased_identical_duplicate_heavy_dataset():
     a = ds(*([[0.0]] * 7 + [[2.0]] * 3 + [[5.0]] * 11))
     assert mmd_biased(CFG, a, a) == 0.0
     assert mmd_biased(CFG, a, Dataset("copy", a.points)) == 0.0
+
+
+def test_biased_copy_of_continuous_rows_is_zero():
+    # equal content takes the self-sum's route, so the cross sum matches it bit for bit
+    D = Dataset("d", np.random.default_rng(4).normal(size=(700, 4)))
+    assert mmd_biased(CFG, D, Dataset("copy", D.points.copy())) == 0.0
 
 
 def test_biased_two_singletons():
@@ -255,3 +262,26 @@ def test_biased_bit_identical_across_threads(lattice, data):
         for t in (1, 2, 4):
             got.append(mmd_biased(CFG, Dataset("x", x), Dataset("y", y), threads=t))
     assert got[0] == got[1] == got[2]
+
+
+# Quarter-integer coordinates stay exact when shifted by 1e6 or 1e8, so the
+# shifted samples are exact translates and only rounding inside the kernel
+# layer can tell them apart.
+@pytest.mark.parametrize("shift", [1e6, 1e8])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_biased_and_bandwidth_invariant_under_translation(shift, data):
+    coord = st.integers(-16, 16).map(lambda k: k / 4.0)
+    rows = st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=30).map(np.array)
+    x, y = data.draw(rows), data.draw(rows)
+    pooled = np.vstack([x, y])
+    assume((pooled != pooled[0]).any())
+
+    def scored(offset):
+        sigma = median_heuristic(Dataset("pool", pooled + offset))
+        cfg = KernelConfig(sigma=sigma)
+        return sigma, mmd_biased(cfg, Dataset("x", x + offset), Dataset("y", y + offset))
+
+    (sigma0, base), (sigma, moved) = scored(0.0), scored(shift)
+    assert sigma == pytest.approx(sigma0, rel=1e-12)
+    assert moved**2 == pytest.approx(base**2, abs=1e-12)
