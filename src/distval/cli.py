@@ -19,6 +19,8 @@ import numpy as np
 from .data import Dataset
 from .errors import InputError, PropertyViolation
 from .experiments import (
+    _EXTRA_CHOICES,
+    _EXTRA_DEFAULTS,
     ExperimentConfig,
     ExperimentName,
     run,
@@ -230,9 +232,10 @@ def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfi
     spec = _flag_or(args.sigma, kernel.get("sigma", _SIGMA, 1.0 if pools is None else "auto"))
     if spec != "auto":
         try:
-            return KernelConfig(sigma=float(spec))
+            sigma = float(spec)
         except ValueError:
             raise InputError(f"sigma must be a positive number or 'auto', got {spec!r}") from None
+        return KernelConfig(sigma=sigma)
     if pools is None:
         raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
     pooled = Dataset(id="pooled", points=np.concatenate(pools, axis=0))
@@ -350,7 +353,7 @@ def cmd_experiment(cfg: dict, args) -> int:
     n = exp.get("n", _INTEGER, 1)
     trials = exp.get("trials", _INTEGER, 1)
     seed = _flag_or(args.seed, exp.get("seed", _INTEGER, None))
-    extra = exp.get("extra", _OBJECT, {})
+    extra = _extra_from(exp, name)
     if seed is None:
         raise InputError("--seed is required for experiments")
     econfig = ExperimentConfig(
@@ -380,6 +383,24 @@ def cmd_experiment(cfg: dict, args) -> int:
     payload["resolved_config"] = payload["config"]
     _emit(payload, args)
     return 0
+
+
+def _extra_kind(key: str, default) -> tuple:
+    """The JSON type of an experiment.extra value, read off its default."""
+    if key in _EXTRA_CHOICES:
+        return _one_of(_EXTRA_CHOICES[key])
+    if isinstance(default, list):
+        return _INTEGERS if all(map(_is_integer, default)) else _NUMBERS
+    # an int default, or None for an optional index, takes an integer
+    return {bool: _BOOLEAN, float: _NUMBER}.get(type(default), _INTEGER)
+
+
+def _extra_from(exp: _Section, name: ExperimentName) -> dict:
+    """The experiment.extra keys the config sets, each type-checked."""
+    defaults = _EXTRA_DEFAULTS[name]
+    extra = _Section(exp.get("extra", _OBJECT, {}), "experiment.extra", tuple(defaults))
+    # null stands for the default only where the default is None
+    return {k: extra.get(k, _extra_kind(k, defaults[k]), defaults[k]) for k in extra.obj}
 
 
 def cmd_verify_game(cfg: dict, args) -> int:

@@ -15,20 +15,6 @@ if TYPE_CHECKING:
 PMF_SUM_TOL = 1e-12
 
 
-class _Measure:
-    """A finite weighted measure, `atoms` = (points, weights), that keeps its
-    Gram self-sum per kernel. Its arrays are read-only copies, so a kept sum
-    cannot go stale."""
-
-    _self_sums: dict
-
-    def self_sum(self, cfg: KernelConfig, compute: Callable[[], float]) -> float:
-        """The Gram self-sum under kernel `cfg`, from `compute()` on first use only."""
-        if cfg not in self._self_sums:
-            self._self_sums[cfg] = compute()
-        return self._self_sums[cfg]
-
-
 def _frozen_copy(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
@@ -36,11 +22,13 @@ def _frozen_copy(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Dataset(_Measure):
+class Dataset:
     """An ordered collection of fixed-dimension feature vectors from one vendor.
 
     `points` is a read-only (m, d) float copy of the caller's finite array;
     row order is meaningful and preserved by every operation in this package.
+    The Gram self-sum of its `atoms` is kept per kernel; the points are a
+    read-only copy, so a kept sum cannot go stale.
     """
 
     id: str
@@ -67,6 +55,12 @@ class Dataset(_Measure):
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def self_sum(self, cfg: KernelConfig, compute: Callable[[], float]) -> float:
+        """The Gram self-sum under kernel `cfg`, from `compute()` on first use only."""
+        if cfg not in self._self_sums:
+            self._self_sums[cfg] = compute()
+        return self._self_sums[cfg]
+
     @property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (sorted) and their counts as float weights.
@@ -83,7 +77,7 @@ class Dataset(_Measure):
 
 
 @dataclass(frozen=True)
-class DiscretePmf(_Measure):
+class DiscretePmf:
     """Exact finite-support probability distribution over feature vectors.
 
     support: (k, d) array of pairwise-distinct finite points; probs: (k,)
@@ -92,7 +86,6 @@ class DiscretePmf(_Measure):
 
     support: np.ndarray
     probs: np.ndarray
-    _self_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         supp = _frozen_copy(self.support)
@@ -109,7 +102,7 @@ class DiscretePmf(_Measure):
             raise InputError("pmf: negative probability")
         if abs(probs.sum() - 1.0) > PMF_SUM_TOL:
             raise InputError(f"pmf: probabilities sum to {probs.sum()!r}, not 1")
-        if len({row.tobytes() for row in supp}) != supp.shape[0]:
+        if np.unique(supp, axis=0).shape[0] != supp.shape[0]:
             raise InputError("pmf: support points must be pairwise distinct")
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "probs", probs)
@@ -121,35 +114,27 @@ class DiscretePmf(_Measure):
     def __len__(self) -> int:
         return self.support.shape[0]
 
-    @property
-    def atoms(self) -> tuple[np.ndarray, np.ndarray]:
-        """The support weighted by its probabilities."""
-        return self.support, self.probs
-
 
 def check_same_dim(a, b, what: str = "inputs"):
     if a.dim != b.dim:
         raise InputError(f"{what}: dimension mismatch ({a.dim} vs {b.dim})")
 
 
+def on_union_support(pmfs: list[DiscretePmf], masses: list[np.ndarray]):
+    """The sorted union U of the pmfs' supports (which share a dimension), and
+    the masses, one array per pmf, added up per point of U in pmf order."""
+    U, inv = np.unique(np.concatenate([p.support for p in pmfs]), axis=0, return_inverse=True)
+    return U, np.bincount(inv.reshape(-1), weights=np.concatenate(masses), minlength=len(U))
+
+
 def mix_pmfs(pmfs: list[DiscretePmf], weights: np.ndarray) -> DiscretePmf:
-    """Weighted mixture of pmfs, aligning support points exactly (union of supports)."""
+    """Weighted mixture of pmfs over the sorted union of their supports; each
+    point's mass accumulates in pmf order."""
     if len(pmfs) != len(weights):
         raise InputError("mix_pmfs: one weight per pmf required")
-    dim = pmfs[0].dim
-    for p in pmfs[1:]:
-        if p.dim != dim:
-            raise InputError("mix_pmfs: pmfs must share a dimension")
-    acc: dict[bytes, float] = {}
-    rows: dict[bytes, np.ndarray] = {}
-    for pmf, w in zip(pmfs, weights):
-        for row, pr in zip(pmf.support, pmf.probs):
-            key = row.tobytes()
-            acc[key] = acc.get(key, 0.0) + w * pr
-            rows.setdefault(key, row)
-    keys = sorted(acc, key=lambda k: tuple(rows[k]))
-    support = np.array([rows[k] for k in keys])
-    probs = np.array([acc[k] for k in keys])
+    if len({p.dim for p in pmfs}) > 1:
+        raise InputError("mix_pmfs: pmfs must share a dimension")
+    support, probs = on_union_support(pmfs, [w * p.probs for p, w in zip(pmfs, weights)])
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise InputError(f"mix_pmfs: weights produce total mass {total!r}")

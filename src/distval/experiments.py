@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from ._version import __version__ as _code_version
-from .data import Dataset, DiscretePmf, mix_pmfs
+from .data import Dataset, DiscretePmf
 from .errors import InputError, UndefinedCorrelationError
 from .game import build_game, verify_minmax
 from .huber import (
@@ -28,19 +28,18 @@ from .huber import (
     huber_value_exact,
     random_huber_population,
     random_pmf,
-    realized_pmf,
     sample_huber,
 )
 from .kernel import KernelConfig
 from .metrics import ValueVector, inversions, l2_err, l_inf_err, pearson
-from .mmd import mmd2_unpaired, mmd_biased, mmd_discrete
+# mmd_discrete stays a module attribute: perfbench/trace.py wraps it here.
+from .mmd import mmd2_unpaired, mmd_biased, mmd_discrete, signed_mmd  # noqa: F401
 from .policy import PolicyParams, Verdict, compare
 from .valuation import (
     Reference,
     ReferenceKind,
     approximation_error_bound,
     build_uniform_reference,
-    value_distribution_exact,
 )
 
 
@@ -57,14 +56,14 @@ _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, Any]] = {
     ExperimentName.CONVERGENCE: {
         "support_max": 10,
         "eps_max": 0.5,
-        "eps_scheme": "random",  # or "spaced": eps_i = i/n, i = 0..n-1
+        "eps_scheme": "random",
         "shared_outlier": False,
         "fractions": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0],
         "m_full": 1000,
         "m_star": 4000,
     },
     ExperimentName.POLICY_SOUNDNESS: {
-        "reference": "ground_truth",  # or "uniform"
+        "reference": "ground_truth",
         "m": 1000,
         "m_star": 1000,
         "eps_bias": 0.1,
@@ -82,7 +81,7 @@ _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, Any]] = {
         "ref_m": 600,
     },
     ExperimentName.INCENTIVE_COMPAT: {
-        "mode": "empirical",  # or "exact"
+        "mode": "empirical",
         "support_max": 10,
         "eps_max": 0.5,
         "m": 600,
@@ -91,6 +90,13 @@ _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, Any]] = {
         "misreporter": None,  # default: middle vendor n // 2
     },
     ExperimentName.GAME_VERIFY: {"n_values": [2, 3, 4, 5], "distance_scale": 1.0},
+}
+
+# The values of the string keys above; eps_scheme "spaced" sets eps_i = i/n.
+_EXTRA_CHOICES: dict[str, tuple[str, ...]] = {
+    "eps_scheme": ("random", "spaced"),
+    "reference": ("ground_truth", "uniform"),
+    "mode": ("empirical", "exact"),
 }
 
 
@@ -140,11 +146,12 @@ class ExperimentReport:
         }
         if self.timing is not None:
             payload["timing"] = self.timing
-        return json.dumps(payload)
+        return json.dumps(payload, allow_nan=False)
 
 
-def _echo_config(cfg: ExperimentConfig) -> dict:
-    return {
+def _report(cfg: ExperimentConfig, rows: list[dict], aggregates: dict, curves=None):
+    """The runner's report, echoing its resolved config for provenance."""
+    config = {
         "name": cfg.name.value,
         "n": cfg.n,
         "trials": cfg.trials,
@@ -152,6 +159,7 @@ def _echo_config(cfg: ExperimentConfig) -> dict:
         "kernel": {"sigma": cfg.kernel.sigma},
         "extra": cfg.resolved_extra(),
     }
+    return ExperimentReport(cfg.name.value, config, _code_version, rows, aggregates, curves or {})
 
 
 def _trial_seeds(config_seed: int, trial: int, k: int) -> list[int]:
@@ -199,6 +207,21 @@ def _linreg_r2(x: np.ndarray, y: np.ndarray) -> float:
 # correlation: exact values against the uniform-mixture reference
 
 
+def _population_rows(base: DiscretePmf, specs: list[HuberSpec]) -> np.ndarray:
+    """The realized pmfs (1 - eps_i) base + eps_i outlier_i as the rows of one
+    matrix over the support of a `random_huber_population`, which the base
+    and every outlier share."""
+    eps = np.array([[s.epsilon] for s in specs])
+    realized = (1.0 - eps) * base.probs + eps * np.array([s.outlier.probs for s in specs])
+    return realized / realized.sum(axis=1, keepdims=True)
+
+
+def _uniform_mix(rows: np.ndarray) -> np.ndarray:
+    """The uniform mixture of pmf rows, accumulated in row order."""
+    mix = (MixtureWeights.uniform(rows.shape[0]).weights[:, None] * rows).sum(axis=0)
+    return mix / mix.sum()
+
+
 def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
     """Exact-mode study: how well do mixture-reference values track true values?
 
@@ -214,10 +237,9 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
     for t in range(cfg.trials):
         (seed_pop,) = _trial_seeds(cfg.seed, t, 1)
         base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seed_pop)
-        pmfs = [realized_pmf(s) for s in specs]
-        true = np.array([value_distribution_exact(cfg.kernel, p, base) for p in pmfs])
-        p_mix = mix_pmfs(pmfs, MixtureWeights.uniform(cfg.n).weights)
-        measured = np.array([value_distribution_exact(cfg.kernel, p, p_mix) for p in pmfs])
+        pmfs = _population_rows(base, specs)
+        true = -signed_mmd(cfg.kernel, base.support, pmfs - base.probs)
+        measured = -signed_mmd(cfg.kernel, base.support, pmfs - _uniform_mix(pmfs))
         error = -true
         ids = tuple(f"v{i}" for i in range(cfg.n))
         try:
@@ -237,13 +259,7 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
             }
         )
     kept = [r for r in rows if not r.get("skipped")]
-    return ExperimentReport(
-        name=cfg.name.value,
-        config=_echo_config(cfg),
-        code_version=_code_version,
-        rows=rows,
-        aggregates=summarize(kept, skip=("trial", "skipped")),
-    )
+    return _report(cfg, rows, summarize(kept, skip=("trial", "skipped")))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +329,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         agg = summarize(sub, skip=("trial", "fraction", "m"))
         for crit in curves:
             curves[crit].append({"fraction": f, **agg[crit]})
-    return ExperimentReport(
-        name=cfg.name.value,
-        config=_echo_config(cfg),
-        code_version=_code_version,
-        rows=rows,
-        aggregates=summarize(rows, skip=("trial", "fraction", "m")),
-        curves=curves,
-    )
+    return _report(cfg, rows, summarize(rows, skip=("trial", "fraction", "m")), curves)
 
 
 # ---------------------------------------------------------------------------
@@ -408,38 +417,11 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
         else 1.0
     )
     agg["soundness_among_concluded"] = {"mean": sound, "stderr": 0.0}
-    return ExperimentReport(
-        name=cfg.name.value,
-        config=_echo_config(cfg),
-        code_version=_code_version,
-        rows=rows,
-        aggregates=agg,
-    )
+    return _report(cfg, rows, agg)
 
 
 # ---------------------------------------------------------------------------
 # incentive compatibility: what misreporting does to the misreporter's value
-
-
-def _convolve_lattice(pmf: DiscretePmf, noise_var: float) -> DiscretePmf:
-    """Exact-mode misreport: convolve a 1-D integer-lattice pmf with a
-    discretized zero-mean Gaussian, extending the support as needed."""
-    if pmf.dim != 1:
-        raise InputError("exact-mode misreport needs a 1-D lattice pmf")
-    if not np.allclose(pmf.support[:, 0], np.round(pmf.support[:, 0])):
-        raise InputError("exact-mode misreport needs an integer-lattice support")
-    tau = math.sqrt(noise_var)
-    half = max(1, math.ceil(4.0 * tau))
-    offsets = np.arange(-half, half + 1)
-    w = np.exp(-(offsets.astype(float) ** 2) / (2.0 * noise_var))
-    w /= w.sum()
-    lat = np.round(pmf.support[:, 0]).astype(int)
-    lo, hi = lat.min() - half, lat.max() + half
-    probs = np.zeros(hi - lo + 1)
-    for x, p in zip(lat, pmf.probs):
-        probs[x - lo - half : x - lo + half + 1] += p * w
-    support = np.arange(lo, hi + 1, dtype=float)[:, None]
-    return DiscretePmf(support=support, probs=probs / probs.sum())
 
 
 def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
@@ -453,6 +435,8 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
     i_mis = ex["misreporter"] if ex["misreporter"] is not None else cfg.n // 2
     if not (0 <= i_mis < cfg.n):
         raise InputError("incentive: misreporter index out of range")
+    if not 0 < ex["noise_var"] < math.inf:
+        raise InputError(f"incentive: noise_var must be finite and > 0, got {ex['noise_var']!r}")
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 4 + cfg.n)
         base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seeds[0])
@@ -495,41 +479,36 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
     agg = summarize(rows, skip=("trial", "vendor"))
     for key in ("change_gt", "change_ours", "change_mmd2"):
         agg[f"misreporter_{key}"] = summarize(mis_rows, skip=("trial", "vendor"))[key]
-    return ExperimentReport(
-        name=cfg.name.value,
-        config=_echo_config(cfg),
-        code_version=_code_version,
-        rows=rows,
-        aggregates=agg,
-    )
+    return _report(cfg, rows, agg)
 
 
 def _incentive_exact_trial(cfg, ex, t, base, specs, i_mis):
-    pmfs = [realized_pmf(s) for s in specs]
-    mis_pmfs = list(pmfs)
-    mis_pmfs[i_mis] = _convolve_lattice(pmfs[i_mis], float(ex["noise_var"]))
-    w = np.full(cfg.n, 1.0 / cfg.n)
-    p_u_honest = mix_pmfs(pmfs, w)
-    p_u_mis = mix_pmfs(mis_pmfs, w)
-    out = []
-    for i in range(cfg.n):
-        d_gt_b = mmd_discrete(cfg.kernel, pmfs[i], base)
-        d_gt_a = mmd_discrete(cfg.kernel, mis_pmfs[i], base)
-        d_u_b = mmd_discrete(cfg.kernel, pmfs[i], p_u_honest)
-        d_u_a = mmd_discrete(cfg.kernel, mis_pmfs[i], p_u_mis)
-        out.append(
-            {
-                "trial": t,
-                "vendor": i,
-                "misreporter": int(i == i_mis),
-                "change_gt": -(d_gt_a - d_gt_b),
-                "change_ours": -(d_u_a - d_u_b),
-                "change_mmd2": -(d_u_a**2 - d_u_b**2),
-                "d_ours_before": d_u_b,
-                "d_ours_after": d_u_a,
-            }
-        )
-    return out
+    """The misreporter's pmf convolved with a discretized zero-mean Gaussian;
+    every pmf of the trial lives on the population's lattice {0..support_max}
+    widened on both sides by the noise's reach."""
+    half = max(1, math.ceil(4.0 * math.sqrt(ex["noise_var"])))
+    noise = np.exp(-(np.arange(-half, half + 1) ** 2) / (2.0 * ex["noise_var"]))
+    wide = np.arange(-half, ex["support_max"] + half + 1, dtype=float)[:, None]
+    b = np.pad(base.probs, half)
+    honest = np.pad(_population_rows(base, specs), ((0, 0), (half, half)))
+    mis = honest.copy()
+    mis[i_mis] = np.convolve(honest[i_mis, half:-half], noise / noise.sum())
+    mis[i_mis] /= mis[i_mis].sum()
+    d_gt_b, d_gt_a = (signed_mmd(cfg.kernel, wide, p - b) for p in (honest, mis))
+    d_u_b, d_u_a = (signed_mmd(cfg.kernel, wide, p - _uniform_mix(p)) for p in (honest, mis))
+    return [
+        {
+            "trial": t,
+            "vendor": i,
+            "misreporter": int(i == i_mis),
+            "change_gt": -float(d_gt_a[i] - d_gt_b[i]),
+            "change_ours": -float(d_u_a[i] - d_u_b[i]),
+            "change_mmd2": -float(d_u_a[i] ** 2 - d_u_b[i] ** 2),
+            "d_ours_before": float(d_u_b[i]),
+            "d_ours_after": float(d_u_a[i]),
+        }
+        for i in range(cfg.n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -560,13 +539,7 @@ def run_game_verify(cfg: ExperimentConfig) -> ExperimentReport:
         "mean": sum(r["certified"] for r in rows) / len(rows),
         "stderr": 0.0,
     }
-    return ExperimentReport(
-        name=cfg.name.value,
-        config=_echo_config(cfg),
-        code_version=_code_version,
-        rows=rows,
-        aggregates=agg,
-    )
+    return _report(cfg, rows, agg)
 
 
 _RUNNERS = {

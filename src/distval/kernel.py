@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -58,8 +59,12 @@ class KernelConfig:
     sigma: float
 
     def __post_init__(self):
-        if not (0 < self.sigma < math.inf):
-            raise InputError(f"kernel: sigma must be positive and finite, got {self.sigma!r}")
+        # The kernel divides by 2 sigma^2, so that must be a finite, normal float.
+        if not (self.sigma > 0 and sys.float_info.min <= 2.0 * self.sigma * self.sigma < math.inf):
+            raise InputError(
+                "kernel: sigma must be positive and finite, with 2 sigma^2 a normal float"
+                f" (about 1.5e-154 to 9.4e153), got {self.sigma!r}"
+            )
 
 
 def resolve_threads(threads: int | None = None) -> int:

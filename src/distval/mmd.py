@@ -5,10 +5,11 @@ Three routes to the same metric:
   * mmd2_unbiased -- U-statistic estimator of the squared MMD (may be negative);
   * mmd_discrete -- exact population MMD between finite-support distributions.
 
-All of them are formulas over one primitive, `weighted_gram_sum`, applied
-to each input's `atoms`: a Dataset is its distinct rows weighted by their
-counts, a DiscretePmf is its support weighted by its probabilities. Each
-input's self-sum is computed once per kernel and kept on the input.
+All of them are formulas over one primitive, `weighted_gram_sum`. A
+Dataset enters as its distinct rows weighted by their counts, and its
+self-sum is computed once per kernel and kept on it. Two pmfs enter as one
+signed measure, p - q on the union of their supports, whose MMD is the
+square root of one quadratic form (`signed_mmd`).
 """
 from __future__ import annotations
 
@@ -16,19 +17,16 @@ import math
 
 import numpy as np
 
-from .data import Dataset, DiscretePmf, check_same_dim
+from .data import Dataset, DiscretePmf, check_same_dim, on_union_support
 from .errors import InputError
 from .kernel import KernelConfig, weighted_gram_sum
 
 
-def _self_sum(cfg: KernelConfig, A, threads: int | None) -> float:
-    return A.self_sum(cfg, lambda: weighted_gram_sum(cfg, *A.atoms, *A.atoms, threads))
-
-
 def _sums(cfg: KernelConfig, A, B, threads: int | None = None) -> tuple[float, float, float]:
     """Self-sums of A and B (each kept on its input) and their cross sum."""
-    s_ab = weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
-    return _self_sum(cfg, A, threads), _self_sum(cfg, B, threads), s_ab
+    s_aa = A.self_sum(cfg, lambda: weighted_gram_sum(cfg, *A.atoms, *A.atoms, threads))
+    s_bb = B.self_sum(cfg, lambda: weighted_gram_sum(cfg, *B.atoms, *B.atoms, threads))
+    return s_aa, s_bb, weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
 
 
 def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
@@ -77,12 +75,17 @@ def mmd2_unpaired(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | Non
     return _u_statistic(cfg, D, Dp, threads, False, "mmd2_unpaired")
 
 
-def mmd_discrete(cfg: KernelConfig, P: DiscretePmf, Pp: DiscretePmf) -> float:
-    """Exact population MMD between two finite-support distributions.
+def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:
+    """sqrt(max(w^T K(U, U) w, 0)) for each row w of `rows`, a signed measure on
+    the points U = `support`: the exact MMD between two finite measures whose
+    difference is w. One symmetric Gram sum per row, exactly 0 where w = 0."""
+    sums = [weighted_gram_sum(cfg, support, w, support, w) for w in rows]
+    return np.sqrt(np.maximum(sums, 0.0))
 
-    d(P, P')^2 = E k(X, X') - 2 E k(X, Y) + E k(Y, Y') with X, X' ~ P and
-    Y, Y' ~ P', evaluated as probability-weighted sums over the supports.
-    """
+
+def mmd_discrete(cfg: KernelConfig, P: DiscretePmf, Pp: DiscretePmf) -> float:
+    """Exact population MMD between two finite-support distributions:
+    d(P, P')^2 = (p - p')^T K (p - p') over the union of their supports."""
     check_same_dim(P, Pp, "mmd_discrete")
-    g_pp, g_qq, g_pq = _sums(cfg, P, Pp)
-    return math.sqrt(max(g_pp - 2.0 * g_pq + g_qq, 0.0))
+    support, w = on_union_support([P, Pp], [P.probs, -Pp.probs])
+    return float(signed_mmd(cfg, support, [w])[0])

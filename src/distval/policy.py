@@ -71,9 +71,10 @@ def criterion_margin_gt(p: PolicyParams, m: int, m_prime: int, m_star: int) -> f
     if min(m, m_prime, m_star) < 1:
         raise InputError("criterion margin: sample sizes must be >= 1")
     k = K_BOUND
-    return p.eps_upsilon + 2.0 * (
+    margin = p.eps_upsilon + 2.0 * (
         p.eps_bias + math.sqrt(k / m) + math.sqrt(k / m_prime) + 2.0 * math.sqrt(k / m_star)
     )
+    return _finite(margin)
 
 
 def criterion_margin_mix(
@@ -84,7 +85,15 @@ def criterion_margin_mix(
     upper bound on it)."""
     if not 0 <= huber_gap < math.inf:
         raise InputError(f"criterion margin: huber_gap must be finite and >= 0, got {huber_gap!r}")
-    return criterion_margin_gt(p, m, m_prime, m_n) + 2.0 * huber_gap
+    return _finite(criterion_margin_gt(p, m, m_prime, m_n) + 2.0 * huber_gap)
+
+
+def _finite(margin: float) -> float:
+    # Finite terms near the float maximum can still sum to inf, which no gap
+    # can clear and no JSON report can hold.
+    if not math.isfinite(margin):
+        raise InputError(f"criterion margin is {margin!r}: its eps or huber_gap term is too large")
+    return margin
 
 
 def confidence_delta(p: PolicyParams, m: int, m_prime: int, m_ref: int) -> float:

@@ -205,6 +205,27 @@ def test_cmd_compare_huge_eps_bias_saturates(tmp_path, vendor_files, capsys):
     assert out["result"]["verdict"] == "Inconclusive"
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        # 2 sigma^2 overflows to inf, or underflows to 0
+        (["--sigma", "1e200"], "error: kernel: sigma must be positive and finite"),
+        (["--sigma", "1e-200"], "error: kernel: sigma must be positive and finite"),
+        # each policy term is finite, but the margin overflows to inf
+        (["--eps-bias", "1e308"], "error: criterion margin is inf"),
+    ],
+)
+def test_cmd_compare_out_of_range_floats_are_input_errors(
+    tmp_path, vendor_files, capsys, flags, message
+):
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
+    argv = ["compare", "--config", str(cfg), "--eps-bias", "0.1", *flags]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(message)
+
+
 def test_cmd_compare_concludes_on_separated_vendors(tmp_path, vendor_files, capsys):
     cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
     rc = main(["compare", "--config", str(cfg), "--eps-bias", "0.1"])
@@ -405,6 +426,11 @@ _EVERY_SECTION = {
 _MIXTURE = {"kind": "mixture", "weights": [0.5, 0.5], "total": 20}
 
 
+def _extra_case(name, key, value):
+    experiment = {"name": name, "n": 2, "trials": 1, "extra": {key: value}}
+    return ("experiment", "experiment", experiment, f"experiment.extra.{key}")
+
+
 @pytest.mark.parametrize(
     "command, key, value, named",
     [
@@ -438,6 +464,17 @@ _MIXTURE = {"kind": "mixture", "weights": [0.5, 0.5], "total": 20}
         ("compare", "compare.hubergap", 0.0, "compare.hubergap"),
         ("experiment", "experiment.extras", {}, "experiment.extras"),
         ("verify-game", "game.distance", [0.2, 0.6], "game.distance"),
+        # experiment.extra values, typed by their defaults; once run as
+        # empirical mode, or a traceback
+        _extra_case("incentive_compat", "mode", "bogus"),
+        _extra_case("incentive_compat", "m", "abc"),
+        _extra_case("convergence", "fractions", "abc"),
+        _extra_case("convergence", "eps_scheme", "even"),
+        _extra_case("policy_soundness", "reference", "mixture"),
+        _extra_case("convergence", "shared_outlier", 1),
+        _extra_case("game_verify", "n_values", [2.5]),
+        _extra_case("incentive_compat", "m", None),
+        _extra_case("incentive_compat", "modes", "exact"),
     ],
 )
 def test_malformed_config_is_input_error(

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from distval import Dataset, DiscretePmf, InputError, KernelConfig, mmd_biased
+from distval import Dataset, DiscretePmf, InputError, KernelConfig, mix_pmfs, mmd_biased
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -52,3 +52,76 @@ def test_atoms_are_distinct_rows_with_counts():
     assert rows.tolist() == [[1.0, 5.0], [2.0, 0.0]]
     assert counts.tolist() == [1.0, 3.0]
     assert counts.sum() == len(d)
+
+
+def _in_order_mix(pmfs, weights):
+    # Reference: accumulate w * p per support point in pmf order, as a dict.
+    acc = {}
+    for pmf, w in zip(pmfs, weights):
+        for row, p in zip(pmf.support.tolist(), pmf.probs):
+            acc[tuple(row)] = acc.get(tuple(row), 0.0) + w * p
+    keys = sorted(acc)
+    probs = np.array([acc[k] for k in keys])
+    return keys, probs / probs.sum()
+
+
+@pytest.mark.parametrize(
+    "supports",
+    [
+        [[[2.0], [0.0]], [[1.0], [2.0], [5.0]], [[0.0]]],
+        [
+            [[1.0, 5.0], [0.0, 2.0]],
+            [[1.0, -1.0], [0.0, 2.0]],
+            [[1.0, 5.0], [-3.0, 9.0], [1.0, 0.0]],
+        ],
+    ],
+)
+def test_mix_pmfs_sorted_union_support_and_in_order_probs(supports):
+    rng = np.random.default_rng(len(supports[0][0]))
+    pmfs = []
+    for s in supports:
+        w = rng.uniform(size=len(s))
+        pmfs.append(DiscretePmf(np.array(s), w / w.sum()))
+    weights = rng.uniform(size=len(pmfs))
+    weights /= weights.sum()
+    mixed = mix_pmfs(pmfs, weights)
+    keys, probs = _in_order_mix(pmfs, weights)
+    assert [tuple(r) for r in mixed.support.tolist()] == keys
+    assert mixed.probs.tolist() == probs.tolist()
+
+
+def test_mix_pmfs_probs_bit_equal_to_in_order_accumulation_on_many_pmfs():
+    # many pmfs on overlapping lattice points, so the order of the additions
+    # shows in the last bits
+    rng = np.random.default_rng(8)
+    pmfs = []
+    for _ in range(40):
+        support = np.unique(rng.integers(0, 6, size=(5, 1)), axis=0).astype(float)
+        w = rng.uniform(size=support.shape[0])
+        pmfs.append(DiscretePmf(support, w / w.sum()))
+    weights = rng.uniform(size=len(pmfs))
+    weights /= weights.sum()
+    mixed = mix_pmfs(pmfs, weights)
+    keys, probs = _in_order_mix(pmfs, weights)
+    assert [tuple(r) for r in mixed.support.tolist()] == keys
+    assert mixed.probs.tolist() == probs.tolist()
+
+
+def test_mix_pmfs_merges_signed_zeros():
+    # -0.0 == 0.0, so both pmfs put their mass on one support point
+    mixed = mix_pmfs([DiscretePmf([[0.0]], [1.0]), DiscretePmf([[-0.0]], [1.0])], [0.5, 0.5])
+    assert mixed.support.tolist() == [[0.0]] and mixed.probs.tolist() == [1.0]
+
+
+def test_mix_pmfs_rejects_dimension_mismatch_and_weight_count():
+    p1 = DiscretePmf([[0.0]], [1.0])
+    p2 = DiscretePmf([[0.0, 1.0]], [1.0])
+    with pytest.raises(InputError, match="share a dimension"):
+        mix_pmfs([p1, p2], [0.5, 0.5])
+    with pytest.raises(InputError, match="one weight per pmf"):
+        mix_pmfs([p1, p1], [1.0])
+
+
+def test_pmf_rejects_signed_zero_duplicates():
+    with pytest.raises(InputError, match="distinct"):
+        DiscretePmf([[0.0], [-0.0]], [0.5, 0.5])

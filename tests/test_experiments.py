@@ -1,14 +1,23 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import distval.experiments
 from distval import (
+    DiscretePmf,
     ExperimentConfig,
     ExperimentName,
     InputError,
     KernelConfig,
+    ValueVector,
+    mix_pmfs,
+    mmd_discrete,
+    pearson,
+    random_huber_population,
+    realized_pmf,
     run,
     run_convergence,
     run_correlation,
@@ -19,6 +28,7 @@ from distval import (
     write_curve_csvs,
     write_rows_csv,
 )
+from distval.experiments import _trial_seeds
 
 K1 = KernelConfig(sigma=1.0)
 
@@ -37,6 +47,12 @@ def test_config_rejects_bad_counts():
         cfg(ExperimentName.CORRELATION, 5, 0, 0)
     with pytest.raises(InputError):
         cfg(ExperimentName.CORRELATION, 0, 1, 0)
+
+
+def test_report_json_is_strict():
+    rep = run(cfg(ExperimentName.GAME_VERIFY, 2, 1, 5))
+    with pytest.raises(ValueError):
+        replace(rep, aggregates={"x": {"mean": math.nan, "stderr": 0.0}}).to_json()
 
 
 def test_dispatcher_matches_direct_call():
@@ -207,3 +223,105 @@ def test_incentive_squared_mmd_stays_unpaired_for_one_vendor():
     )
     assert all(r["change_mmd2"] != 0.0 for r in rep.rows)
     assert all(r["change_ours"] == 0.0 for r in rep.rows)
+
+
+# Per-pair references for the exact-mode runners: one DiscretePmf per vendor,
+# mix_pmfs for the mixture and one mmd_discrete call per value. Squared
+# distances are compared, as in tests/test_mmd.py.
+
+
+def test_correlation_values_match_a_per_pair_reference(monkeypatch):
+    c = cfg(ExperimentName.CORRELATION, 7, 4, 5)
+    seen = []
+
+    def capture(a, b):
+        seen.append((a.values, b.values))
+        return pearson(a, b)
+
+    monkeypatch.setattr(distval.experiments, "pearson", capture)
+    rep = run_correlation(c)
+    assert len(seen) == c.trials
+    for t, (true, measured) in enumerate(seen):
+        (seed,) = _trial_seeds(c.seed, t, 1)
+        base, specs = random_huber_population(c.n, 10, 0.5, seed)
+        pmfs = [realized_pmf(s) for s in specs]
+        mix = mix_pmfs(pmfs, np.full(c.n, 1.0 / c.n))
+        ref_true = np.array([mmd_discrete(K1, p, base) for p in pmfs])
+        ref_measured = np.array([mmd_discrete(K1, p, mix) for p in pmfs])
+        assert true**2 == pytest.approx(ref_true**2, abs=1e-12)
+        assert measured**2 == pytest.approx(ref_measured**2, abs=1e-12)
+        ids = tuple(f"v{i}" for i in range(c.n))
+        rho = pearson(ValueVector(-ref_true, ids), ValueVector(-ref_measured, ids))
+        assert rep.rows[t]["pearson"] == pytest.approx(rho, abs=1e-9)
+
+
+def _convolved(pmf, noise_var):
+    # The misreport, atom by atom: each atom spreads its mass over a
+    # discretized zero-mean Gaussian of the given variance.
+    half = max(1, math.ceil(4.0 * math.sqrt(noise_var)))
+    offsets = np.arange(-half, half + 1)
+    w = np.exp(-(offsets**2) / (2.0 * noise_var))
+    w /= w.sum()
+    acc = {}
+    for x, p in zip(pmf.support[:, 0], pmf.probs):
+        for o, wo in zip(offsets, w):
+            acc[x + o] = acc.get(x + o, 0.0) + p * wo
+    keys = sorted(acc)
+    probs = np.array([acc[k] for k in keys])
+    return DiscretePmf(np.array(keys)[:, None], probs / probs.sum())
+
+
+@pytest.mark.parametrize("noise_var", [0.2, 4.0])
+def test_incentive_exact_rows_match_a_per_pair_reference(noise_var):
+    c = cfg(ExperimentName.INCENTIVE_COMPAT, 5, 3, 11, noise_var=noise_var, mode="exact")
+    rows = run_incentive(c).rows
+    i_mis = c.n // 2
+    for t in range(c.trials):
+        seeds = _trial_seeds(c.seed, t, 4 + c.n)
+        base, specs = random_huber_population(c.n, 10, 0.5, seeds[0])
+        honest = [realized_pmf(s) for s in specs]
+        mis = list(honest)
+        mis[i_mis] = _convolved(honest[i_mis], noise_var)
+        w = np.full(c.n, 1.0 / c.n)
+        mix_b, mix_a = mix_pmfs(honest, w), mix_pmfs(mis, w)
+        for i in range(c.n):
+            row = rows[t * c.n + i]
+            assert (row["trial"], row["vendor"], row["misreporter"]) == (t, i, int(i == i_mis))
+            gt_b, gt_a = mmd_discrete(K1, honest[i], base), mmd_discrete(K1, mis[i], base)
+            u_b, u_a = mmd_discrete(K1, honest[i], mix_b), mmd_discrete(K1, mis[i], mix_a)
+            assert row["d_ours_before"] ** 2 == pytest.approx(u_b**2, abs=1e-12)
+            assert row["d_ours_after"] ** 2 == pytest.approx(u_a**2, abs=1e-12)
+            assert row["change_mmd2"] == pytest.approx(-(u_a**2 - u_b**2), abs=1e-12)
+            assert row["change_ours"] == pytest.approx(-(u_a - u_b), abs=1e-9)
+            assert row["change_gt"] == pytest.approx(-(gt_a - gt_b), abs=1e-9)
+
+
+def _strict_json(text):
+    def reject(const):
+        raise ValueError(f"non-strict JSON constant {const}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+_CONVERGENCE_SMALL = {"m_full": 40, "m_star": 60, "fractions": [0.5, 1.0]}
+_SOUNDNESS_SMALL = {"m": 40, "m_star": 40, "ref_m": 30}
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [
+        (ExperimentName.CORRELATION, {}),
+        (ExperimentName.CONVERGENCE, _CONVERGENCE_SMALL),
+        (ExperimentName.CONVERGENCE, {**_CONVERGENCE_SMALL, "eps_scheme": "spaced"}),
+        (ExperimentName.CONVERGENCE, {**_CONVERGENCE_SMALL, "shared_outlier": True}),
+        (ExperimentName.POLICY_SOUNDNESS, _SOUNDNESS_SMALL),
+        (ExperimentName.POLICY_SOUNDNESS, {**_SOUNDNESS_SMALL, "reference": "uniform"}),
+        (ExperimentName.INCENTIVE_COMPAT, {"m": 30, "m_star": 60}),
+        (ExperimentName.INCENTIVE_COMPAT, {"mode": "exact"}),
+        (ExperimentName.GAME_VERIFY, {"n_values": [2, 3]}),
+    ],
+)
+def test_every_runner_report_is_strict_json(name, extra):
+    rep = run(cfg(name, 3, 2, 13, **extra), timing=True)
+    payload = _strict_json(rep.to_json())
+    assert payload["rows"] and payload["name"] == name.value

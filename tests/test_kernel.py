@@ -27,9 +27,12 @@ def test_config_validation():
         KernelConfig(sigma=-1.0)
     with pytest.raises(TypeError):
         KernelConfig(sigma=1.0, k_bound=2.0)  # K is fixed by the RBF kernel
-    for bad in (math.inf, math.nan):
+    # 1e200 and 1e-200 are finite, but 2 sigma^2 overflows or underflows
+    for bad in (math.inf, math.nan, 1e200, 1e-200):
         with pytest.raises(InputError, match="finite"):
             KernelConfig(sigma=bad)
+    for edge in (1.5e-154, 9.4e153):
+        assert kernel_eval(KernelConfig(sigma=edge), [0.0], [1.0]) <= 1.0
 
 
 def test_eval_identical_points():

@@ -46,6 +46,16 @@ def test_non_finite_policy_values_are_input_errors(bad):
         criterion_margin_mix(PolicyParams(0.0, 0.1), 10, 10, 10, bad)
 
 
+def test_margin_overflowing_to_inf_is_an_input_error():
+    # every term is finite, but their sum is not
+    with pytest.raises(InputError, match="criterion margin is inf"):
+        criterion_margin_gt(PolicyParams(0.0, 1e308), 10, 10, 10)
+    with pytest.raises(InputError, match="criterion margin is inf"):
+        criterion_margin_gt(PolicyParams(1e308, 5e307), 10, 10, 10)
+    with pytest.raises(InputError, match="criterion margin is inf"):
+        criterion_margin_mix(PolicyParams(0.0, 0.1), 10, 10, 10, 1e308)
+
+
 def test_params_are_floats():
     p = PolicyParams(eps_upsilon=0, eps_bias=1)
     assert type(p.eps_upsilon) is float and type(p.eps_bias) is float
