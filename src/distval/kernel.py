@@ -210,8 +210,9 @@ def median_heuristic(pooled: Dataset, cap: int = 1000, seed: int = 0) -> float:
     """Median pairwise Euclidean distance over a seeded subsample of the pool.
 
     Subsamples min(cap, m) points without replacement, so the bandwidth is
-    reproducible and the O(m^2) distance scan stays bounded. Raises when all
-    points coincide; supply sigma explicitly in that case.
+    reproducible and the O(m^2) distance scan stays bounded. Raises when the
+    median is 0 (more than half the pairs coincide); supply sigma explicitly
+    in that case.
     """
     if cap < 1:
         raise InputError("median_heuristic: cap must be >= 1")
@@ -227,6 +228,7 @@ def median_heuristic(pooled: Dataset, cap: int = 1000, seed: int = 0) -> float:
     med = float(np.median(np.sqrt(d2[iu])))
     if med <= 0.0:
         raise InputError(
-            "median_heuristic: all pooled points coincide; pass sigma explicitly"
+            "median_heuristic: the median pairwise distance is 0 (more than half"
+            " the pooled pairs coincide); pass sigma explicitly"
         )
     return med

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distval import kernel
@@ -275,7 +275,15 @@ def test_biased_and_bandwidth_invariant_under_translation(shift, data):
     rows = st.lists(st.lists(coord, min_size=2, max_size=2), min_size=1, max_size=30).map(np.array)
     x, y = data.draw(rows), data.draw(rows)
     pooled = np.vstack([x, y])
-    assume((pooled != pooled[0]).any())
+    iu = np.triu_indices(pooled.shape[0], k=1)
+    dists = np.sqrt(((pooled[:, None] - pooled[None]) ** 2).sum(-1))[iu]
+    if np.median(dists) == 0.0:
+        # More than half the pooled pairs coincide, so there is no bandwidth
+        # at any offset.
+        for offset in (0.0, shift):
+            with pytest.raises(InputError, match="median pairwise distance is 0"):
+                median_heuristic(Dataset("pool", pooled + offset))
+        return
 
     def scored(offset):
         sigma = median_heuristic(Dataset("pool", pooled + offset))
