@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -19,10 +20,15 @@ import numpy as np
 from .data import Dataset
 from .errors import InputError, PropertyViolation
 from .experiments import (
-    _EXTRA_CHOICES,
-    _EXTRA_DEFAULTS,
+    _BOOLEAN,
+    _INTEGER,
+    _INTEGERS,
+    _NUMBER,
+    _NUMBERS,
     ExperimentConfig,
     ExperimentName,
+    _is_number,
+    _one_of,
     run,
     write_csv,
     write_curve_csvs,
@@ -30,7 +36,7 @@ from .experiments import (
 )
 from .game import build_game, verify_minmax
 from .huber import MixtureWeights
-from .kernel import THREADS_ENV_VAR, KernelConfig, median_heuristic
+from .kernel import KernelConfig, median_heuristic
 from .policy import PolicyParams, compare, rank_vendors
 from .valuation import (
     Reference,
@@ -58,33 +64,41 @@ class VendorManifest:
             raise InputError("manifest: dim must be >= 1")
 
 
-def _read_csv_points(path: str, dim: int, has_header: bool, owner: str) -> np.ndarray:
+def _read_text(path: str, what: str) -> str:
+    """The file's text; a missing, unreadable or non-UTF-8 file is an input error."""
     if not os.path.exists(path):
-        raise InputError(f"{owner}: file not found: {path}")
+        raise InputError(f"{what} not found: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise InputError(f"{what} unreadable: {path}: {e.strerror}") from None
+    except UnicodeDecodeError as e:
+        raise InputError(f"{what} unreadable: {path}: not UTF-8 text (byte {e.start})") from None
+
+
+def _read_csv_points(path: str, dim: int, has_header: bool, owner: str) -> np.ndarray:
     rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, cells in enumerate(reader, start=1):
-            if has_header and lineno == 1:
-                continue
-            if not cells or (len(cells) == 1 and cells[0].strip() == ""):
-                continue
-            if len(cells) != dim:
-                raise InputError(
-                    f"{owner}: {path}:{lineno}: expected {dim} columns, found {len(cells)}"
-                )
-            row = []
-            for col, cell in enumerate(cells, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise InputError(
-                        f"{owner}: {path}:{lineno}:{col}: not a decimal real: {cell!r}"
-                    )
-                row.append(value)
-            rows.append(row)
+    reader = csv.reader(io.StringIO(_read_text(path, f"{owner}: file"), newline=""))
+    for lineno, cells in enumerate(reader, start=1):
+        if has_header and lineno == 1:
+            continue
+        if not cells or (len(cells) == 1 and cells[0].strip() == ""):
+            continue
+        if len(cells) != dim:
+            raise InputError(
+                f"{owner}: {path}:{lineno}: expected {dim} columns, found {len(cells)}"
+            )
+        row = []
+        for col, cell in enumerate(cells, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise InputError(f"{owner}: {path}:{lineno}:{col}: not a decimal real: {cell!r}")
+            row.append(value)
+        rows.append(row)
     if not rows:
         raise InputError(f"{owner}: {path}: no data rows")
     return np.asarray(rows, dtype=float)
@@ -127,42 +141,20 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    if not os.path.exists(path):
-        raise InputError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise InputError(f"config {path}: invalid JSON: {e}") from None
+    try:
+        cfg = json.loads(_read_text(path, "config file"))
+    except json.JSONDecodeError as e:
+        raise InputError(f"config {path}: invalid JSON: {e}") from None
     if not isinstance(cfg, dict):
         raise InputError(f"config {path}: top level must be an object")
     return cfg
 
 
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    # finite and within float range: JSON has no NaN or infinity (json.load
-    # accepts both), and an int/float comparison is exact for any int
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _one_of(values) -> tuple:
-    values = list(values)
-    return "one of " + ", ".join(map(json.dumps, values)), lambda v: v in values
-
-
-# What `_Section.get` accepts: the JSON type its error names, and the test.
-_NUMBER = ("a number", _is_number)
-_INTEGER = ("an integer", _is_integer)
-_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+# What `_Section.get` accepts, besides the kinds imported above: the JSON
+# type its error names, and the test.
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _LIST = ("a list", lambda v: isinstance(v, list))
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
-_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)))
 _SIGMA = ('a number or "auto"', lambda v: v == "auto" or _is_number(v))
 _REQUIRED = object()
 
@@ -239,7 +231,7 @@ def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfi
     if pools is None:
         raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
     pooled = Dataset(id="pooled", points=np.concatenate(pools, axis=0))
-    return KernelConfig(sigma=median_heuristic(pooled, cap=1000))
+    return KernelConfig(sigma=median_heuristic(pooled))
 
 
 def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
@@ -353,24 +345,14 @@ def cmd_experiment(cfg: dict, args) -> int:
     n = exp.get("n", _INTEGER, 1)
     trials = exp.get("trials", _INTEGER, 1)
     seed = _flag_or(args.seed, exp.get("seed", _INTEGER, None))
-    extra = _extra_from(exp, name)
+    # ExperimentConfig checks each extra key and value
+    extra = exp.get("extra", _OBJECT, {})
     if seed is None:
         raise InputError("--seed is required for experiments")
     econfig = ExperimentConfig(
         name=name, n=n, trials=trials, seed=seed, kernel=_kernel_from(cfg, args, None), extra=extra
     )
-    saved_threads = os.environ.get(THREADS_ENV_VAR)
-    try:
-        if args.threads is not None:
-            # The runners read the worker count from the environment; the
-            # finally clause restores it for later in-process callers.
-            os.environ[THREADS_ENV_VAR] = str(args.threads)
-        report = run(econfig, timing=args.timing)
-    finally:
-        if saved_threads is None:
-            os.environ.pop(THREADS_ENV_VAR, None)
-        else:
-            os.environ[THREADS_ENV_VAR] = saved_threads
+    report = run(econfig, timing=args.timing)
     if args.format == "csv":
         if not args.out:
             raise InputError("--format csv for experiments requires --out")
@@ -383,24 +365,6 @@ def cmd_experiment(cfg: dict, args) -> int:
     payload["resolved_config"] = payload["config"]
     _emit(payload, args)
     return 0
-
-
-def _extra_kind(key: str, default) -> tuple:
-    """The JSON type of an experiment.extra value, read off its default."""
-    if key in _EXTRA_CHOICES:
-        return _one_of(_EXTRA_CHOICES[key])
-    if isinstance(default, list):
-        return _INTEGERS if all(map(_is_integer, default)) else _NUMBERS
-    # an int default, or None for an optional index, takes an integer
-    return {bool: _BOOLEAN, float: _NUMBER}.get(type(default), _INTEGER)
-
-
-def _extra_from(exp: _Section, name: ExperimentName) -> dict:
-    """The experiment.extra keys the config sets, each type-checked."""
-    defaults = _EXTRA_DEFAULTS[name]
-    extra = _Section(exp.get("extra", _OBJECT, {}), "experiment.extra", tuple(defaults))
-    # null stands for the default only where the default is None
-    return {k: extra.get(k, _extra_kind(k, defaults[k]), defaults[k]) for k in extra.obj}
 
 
 def cmd_verify_game(cfg: dict, args) -> int:
@@ -454,7 +418,7 @@ _COMMANDS = {
     "value": (cmd_score, _DATA_FLAGS + ("format",)),
     "rank": (cmd_score, _DATA_FLAGS + ("format",)),
     "compare": (cmd_compare, _DATA_FLAGS + ("eps-bias", "eps-upsilon")),
-    "experiment": (cmd_experiment, _DATA_FLAGS + ("format", "timing")),
+    "experiment": (cmd_experiment, ("config", "seed", "sigma", "out", "format", "timing")),
     "verify-game": (cmd_verify_game, ("config", "seed", "out")),
 }
 
@@ -466,7 +430,7 @@ _FLAGS = {
     "eps-upsilon": {"type": float},
     "out": {"help": "write the report here instead of stdout"},
     "format": {"choices": ("json", "csv"), "default": "json"},
-    "threads": {"type": int, "help": f"worker threads; falls back to ${THREADS_ENV_VAR}"},
+    "threads": {"type": int, "default": 1, "help": "worker threads (default 1)"},
     "timing": {"action": "store_true", "help": "include wall-clock timing in experiment reports"},
 }
 

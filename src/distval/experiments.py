@@ -100,8 +100,44 @@ _EXTRA_CHOICES: dict[str, tuple[str, ...]] = {
 }
 
 
+def _is_integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    # finite and within float range: JSON has no NaN or infinity (json.load
+    # accepts both), and an int/float comparison is exact for any int
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _one_of(values) -> tuple:
+    values = list(values)
+    return "one of " + ", ".join(map(json.dumps, values)), lambda v: v in values
+
+
+# JSON kinds of config values: the type an error names, and the test.
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", _is_integer)
+_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
+_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)))
+
+
+def _extra_kind(key: str, default) -> tuple:
+    """The JSON kind of an extra value, read off its default."""
+    if key in _EXTRA_CHOICES:
+        return _one_of(_EXTRA_CHOICES[key])
+    if isinstance(default, list):
+        return _INTEGERS if all(map(_is_integer, default)) else _NUMBERS
+    # an int default, or None for an optional index, takes an integer
+    return {bool: _BOOLEAN, float: _NUMBER}.get(type(default), _INTEGER)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One runner's settings. Each `extra` key must be one of the runner's
+    `_EXTRA_DEFAULTS` and hold a value of its default's JSON kind."""
+
     name: ExperimentName
     n: int
     trials: int
@@ -114,10 +150,19 @@ class ExperimentConfig:
             raise InputError("experiment: trials must be >= 1")
         if self.n < 1:
             raise InputError("experiment: n must be >= 1")
-        known = _EXTRA_DEFAULTS[self.name]
-        unknown = set(self.extra) - set(known)
-        if unknown:
-            raise InputError(f"experiment {self.name.value}: unknown extra keys {sorted(unknown)}")
+        defaults = _EXTRA_DEFAULTS[self.name]
+        for key, value in self.extra.items():
+            if key not in defaults:
+                raise InputError(
+                    f"config: experiment.extra.{key} is not a known key;"
+                    f" experiment.extra takes only {', '.join(defaults)}"
+                )
+            default = defaults[key]
+            what, test = _extra_kind(key, default)
+            # null stands for the default only where the default is None
+            if not (test(value) or value is None and default is None):
+                got = json.dumps(value, default=repr)
+                raise InputError(f"config: experiment.extra.{key} must be {what}, got {got}")
 
     def resolved_extra(self) -> dict:
         out = dict(_EXTRA_DEFAULTS[self.name])
@@ -269,16 +314,16 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
 def _population(cfg: ExperimentConfig, ex: dict, seed: int):
     """Population for sweep experiments, honouring the eps scheme."""
     n = cfg.n
-    if ex.get("eps_scheme", "random") == "random" and not ex.get("shared_outlier", False):
+    if ex["eps_scheme"] == "random" and not ex["shared_outlier"]:
         return random_huber_population(n, ex["support_max"], ex["eps_max"], seed)
     rng = np.random.default_rng(seed)
     support = np.arange(ex["support_max"] + 1, dtype=float)[:, None]
     base = random_pmf(rng, support)
-    if ex.get("eps_scheme", "random") == "spaced":
+    if ex["eps_scheme"] == "spaced":
         eps = np.array([i / n for i in range(n)])
     else:
         eps = rng.uniform(0.0, ex["eps_max"], size=n)
-    if ex.get("shared_outlier", False):
+    if ex["shared_outlier"]:
         q = random_pmf(rng, support)
         outliers = [q] * n
     else:
@@ -299,8 +344,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     at each size against the full-size values, all against one ground-truth
     reference sample per trial."""
     ex = cfg.resolved_extra()
-    fractions = list(ex["fractions"])
-    m_full, m_star = int(ex["m_full"]), int(ex["m_star"])
+    fractions, m_full, m_star = ex["fractions"], ex["m_full"], ex["m_star"]
     ids = tuple(f"v{i}" for i in range(cfg.n))
     rows = []
     for t in range(cfg.trials):
@@ -349,11 +393,8 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
     mixture error bound.
     """
     ex = cfg.resolved_extra()
-    m, m_star = int(ex["m"]), int(ex["m_star"])
-    params = PolicyParams(eps_upsilon=float(ex["eps_upsilon"]), eps_bias=float(ex["eps_bias"]))
-    use_uniform = ex["reference"] == "uniform"
-    shift = float(ex["outlier_shift"])
-    n_ref = int(ex["ref_vendors"])
+    m, m_star, n_ref = ex["m"], ex["m_star"], ex["ref_vendors"]
+    params = PolicyParams(eps_upsilon=ex["eps_upsilon"], eps_bias=ex["eps_bias"])
     rows = []
     for t in range(cfg.trials):
         rng = _trial_rng(cfg.seed, t)
@@ -363,7 +404,7 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
         if separated:
             atom = float(rng.integers(0, 11))
             base = DiscretePmf(np.array([[atom]]), np.array([1.0]))
-            far = DiscretePmf(np.array([[atom + shift]]), np.array([1.0]))
+            far = DiscretePmf(np.array([[atom + ex["outlier_shift"]]]), np.array([1.0]))
             eps2 = float(rng.uniform(ex["separated_eps_lo"], ex["separated_eps_hi"]))
             spec1 = HuberSpec(0.0, base, None)
             spec2 = HuberSpec(eps2, base, far)
@@ -375,13 +416,13 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
             spec2 = HuberSpec(eps, base, q)
         d1 = sample_huber(spec1, m, seeds[0], "a")
         d2 = sample_huber(spec2, m, seeds[1], "b")
-        if use_uniform:
+        if ex["reference"] == "uniform":
             ref_specs = [
                 HuberSpec(float(rng.uniform(0.0, ex["ref_eps_max"])), base, random_pmf(rng, support))
                 for _ in range(n_ref)
             ]
             ref_sets = [
-                sample_huber(ref_specs[i], int(ex["ref_m"]), seeds[3 + i], f"ref{i}")
+                sample_huber(ref_specs[i], ex["ref_m"], seeds[3 + i], f"ref{i}")
                 for i in range(n_ref)
             ]
             ref = build_uniform_reference(ref_sets, seeds[2])
@@ -443,9 +484,8 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
         if ex["mode"] == "exact":
             rows.extend(_incentive_exact_trial(cfg, ex, t, base, specs, i_mis))
             continue
-        m, m_star = int(ex["m"]), int(ex["m_star"])
-        honest = [sample_huber(specs[i], m, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
-        ref_gt = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "gt")
+        honest = [sample_huber(specs[i], ex["m"], seeds[2 + i], f"v{i}") for i in range(cfg.n)]
+        ref_gt = sample_huber(HuberSpec(0.0, base, None), ex["m_star"], seeds[1], "gt")
         rng = _trial_rng(cfg.seed, t, stream=1)
         pts = honest[i_mis].points
         mis = list(honest)
@@ -522,7 +562,7 @@ def run_game_verify(cfg: ExperimentConfig) -> ExperimentReport:
     for t in range(cfg.trials):
         rng = _trial_rng(cfg.seed, t)
         for n in ex["n_values"]:
-            d = rng.uniform(0.0, float(ex["distance_scale"]), size=n)
+            d = rng.uniform(0.0, ex["distance_scale"], size=n)
             rep = verify_minmax(build_game(d))
             rows.append(
                 {

@@ -69,13 +69,13 @@ def analytic_game_value(distances) -> float:
     return float(-d.mean())
 
 
-def verify_minmax(g: GameInstance, tol: float = CERT_TOL) -> MinmaxReport:
+def verify_minmax(g: GameInstance) -> MinmaxReport:
     """Check optimality of the uniform strategies by matching primal and dual values.
 
     (a) uniform row value z (min over columns); (b) dual value z' from the
     uniform column strategy (negated best row of the column player's payoff);
-    (c) z == z' within tol certifies both optimal by weak duality; (d) no pure
-    row strategy achieves a min-column value above z.
+    (c) z == z' within CERT_TOL certifies both optimal by weak duality; (d) no
+    pure row strategy achieves a min-column value above z.
     """
     col_values = g.payoff.mean(axis=0)
     column_spread = float(col_values.max() - col_values.min())
@@ -87,10 +87,10 @@ def verify_minmax(g: GameInstance, tol: float = CERT_TOL) -> MinmaxReport:
     analytic = analytic_game_value(g.distances)
     best_pure = float(g.payoff.min(axis=1).max())
     certified = (
-        column_spread <= tol
-        and abs(z - z_dual) <= tol
-        and abs(z - analytic) <= tol
-        and best_pure <= z + tol
+        column_spread <= CERT_TOL
+        and abs(z - z_dual) <= CERT_TOL
+        and abs(z - analytic) <= CERT_TOL
+        and best_pure <= z + CERT_TOL
     )
     return MinmaxReport(
         n=g.n,
@@ -101,5 +101,5 @@ def verify_minmax(g: GameInstance, tol: float = CERT_TOL) -> MinmaxReport:
         column_spread=column_spread,
         best_pure_value=best_pure,
         certified=certified,
-        tolerance=tol,
+        tolerance=CERT_TOL,
     )

@@ -28,7 +28,8 @@ from .errors import InputError
 # Rows per block are sized so a block of the Gram matrix stays ~2 MB.
 _BLOCK_ENTRIES = 262_144
 
-THREADS_ENV_VAR = "DISTVAL_THREADS"
+# Rows the bandwidth heuristic subsamples (with seed 0) from a larger pool.
+_MEDIAN_CAP = 1000
 
 
 # The bound K on kernel values that the MMD concentration bounds take. For the
@@ -65,19 +66,6 @@ class KernelConfig:
                 "kernel: sigma must be positive and finite, with 2 sigma^2 a normal float"
                 f" (about 1.5e-154 to 9.4e153), got {self.sigma!r}"
             )
-
-
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else DISTVAL_THREADS, else 1."""
-    if threads is None:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    return threads
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -156,7 +144,7 @@ def weighted_gram_sum(
     wx: np.ndarray,
     Y: np.ndarray,
     wy: np.ndarray,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> float:
     """wx^T K(X, Y) wy: the weighted sum of k(x_i, y_j) over all row pairs.
 
@@ -167,7 +155,8 @@ def weighted_gram_sum(
     row blocks depend only on the input sizes, each row's weighted sum is
     reduced on its own, and the rows are combined exactly (math.fsum).
     """
-    nw = resolve_threads(threads)
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
     symmetric = (X is Y or np.array_equal(X, Y)) and (wx is wy or np.array_equal(wx, wy))
     Xc, xx, Yc, yy = _centered(X, X if symmetric else Y)
     m, n = X.shape[0], Y.shape[0]
@@ -188,14 +177,14 @@ def weighted_gram_sum(
             buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
         buf.sum(axis=1, out=row_sums[lo:hi])
 
-    _run_blocks(block, [(lo, min(lo + rows, m)) for lo in range(0, m, rows)], nw)
+    _run_blocks(block, [(lo, min(lo + rows, m)) for lo in range(0, m, rows)], threads)
     if symmetric:
         # k(x, x) = 1 exactly, so the diagonal contributes wx_i^2.
         return math.fsum(np.concatenate((wx * wx, 2.0 * wx * row_sums)).tolist())
     return math.fsum((wx * row_sums).tolist())
 
 
-def gram_sum(cfg: KernelConfig, A: Dataset, B: Dataset, threads: int | None = None) -> float:
+def gram_sum(cfg: KernelConfig, A: Dataset, B: Dataset, threads: int = 1) -> float:
     """Sum of k(x, w) over all pairs x in A, w in B.
 
     Computed over each dataset's distinct rows weighted by their counts: the
@@ -206,22 +195,20 @@ def gram_sum(cfg: KernelConfig, A: Dataset, B: Dataset, threads: int | None = No
     return weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
 
 
-def median_heuristic(pooled: Dataset, cap: int = 1000, seed: int = 0) -> float:
+def median_heuristic(pooled: Dataset) -> float:
     """Median pairwise Euclidean distance over a seeded subsample of the pool.
 
-    Subsamples min(cap, m) points without replacement, so the bandwidth is
+    Subsamples min(1000, m) points without replacement, so the bandwidth is
     reproducible and the O(m^2) distance scan stays bounded. Raises when the
     median is 0 (more than half the pairs coincide); supply sigma explicitly
     in that case.
     """
-    if cap < 1:
-        raise InputError("median_heuristic: cap must be >= 1")
     pts = pooled.points
     if pts.shape[0] < 2:
         raise InputError("median_heuristic: need at least 2 pooled points")
-    if pts.shape[0] > cap:
-        rng = np.random.default_rng(seed)
-        pts = pts[rng.permutation(pts.shape[0])[:cap]]
+    if pts.shape[0] > _MEDIAN_CAP:
+        rng = np.random.default_rng(0)
+        pts = pts[rng.permutation(pts.shape[0])[:_MEDIAN_CAP]]
     c, cc = _centered(pts, pts)[:2]
     d2 = _sq_dists(c, cc, c, cc, np.empty((pts.shape[0], pts.shape[0])))
     iu = np.triu_indices(pts.shape[0], k=1)

@@ -22,14 +22,14 @@ from .errors import InputError
 from .kernel import KernelConfig, weighted_gram_sum
 
 
-def _sums(cfg: KernelConfig, A, B, threads: int | None = None) -> tuple[float, float, float]:
+def _sums(cfg: KernelConfig, A, B, threads: int = 1) -> tuple[float, float, float]:
     """Self-sums of A and B (each kept on its input) and their cross sum."""
     s_aa = A.self_sum(cfg, lambda: weighted_gram_sum(cfg, *A.atoms, *A.atoms, threads))
     s_bb = B.self_sum(cfg, lambda: weighted_gram_sum(cfg, *B.atoms, *B.atoms, threads))
     return s_aa, s_bb, weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
 
 
-def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
+def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int = 1) -> float:
     """Biased sample estimate of MMD(D, D'); nonnegative and symmetric."""
     check_same_dim(D, Dp, "mmd_biased")
     m, n = len(D), len(Dp)
@@ -39,12 +39,12 @@ def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None =
     return math.sqrt(max(v, 0.0))
 
 
-def _u_statistic(cfg, D: Dataset, Dp: Dataset, threads, paired: bool, what: str) -> float:
+def _u_statistic(cfg, D: Dataset, Dp: Dataset, paired: bool, what: str) -> float:
     check_same_dim(D, Dp, what)
     m, n = len(D), len(Dp)
     if m < 2 or n < 2:
         raise InputError(f"{what}: both samples need at least 2 points")
-    s_xx, s_yy, s_xy = _sums(cfg, D, Dp, threads)
+    s_xx, s_yy, s_xy = _sums(cfg, D, Dp)
     # Within-sample sums exclude the diagonal (k(x, x) = 1 for the RBF family).
     within = (s_xx - m) / (m * (m - 1)) + (s_yy - n) / (n * (n - 1))
     if paired:
@@ -55,7 +55,7 @@ def _u_statistic(cfg, D: Dataset, Dp: Dataset, threads, paired: bool, what: str)
     return within - 2.0 * s_xy / (m * n)
 
 
-def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
+def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
     """Unbiased U-statistic estimate of the squared MMD; may be negative.
 
     This is a genuinely different estimator from mmd_biased**2: squaring the
@@ -63,16 +63,16 @@ def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | Non
     sizes the paired one-sample form is used (the i-th cross pair excluded as
     well), so identical samples score exactly 0.
     """
-    return _u_statistic(cfg, D, Dp, threads, len(D) == len(Dp), "mmd2_unbiased")
+    return _u_statistic(cfg, D, Dp, len(D) == len(Dp), "mmd2_unbiased")
 
 
-def mmd2_unpaired(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int | None = None) -> float:
+def mmd2_unpaired(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
     """The two-sample U-statistic for independent samples, for any sizes.
 
     Every cross pair is kept, since x_i and y_j are independent; this is
     mmd2_unbiased whenever the sample sizes differ.
     """
-    return _u_statistic(cfg, D, Dp, threads, False, "mmd2_unpaired")
+    return _u_statistic(cfg, D, Dp, False, "mmd2_unpaired")
 
 
 def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:

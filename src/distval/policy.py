@@ -122,7 +122,7 @@ def compare(
     Dp: Dataset,
     ref: Reference,
     huber_gap: float | None = None,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> DecisionReport:
     """Compare two vendors' datasets against a common reference.
 
@@ -155,7 +155,7 @@ def compare(
 
 
 def rank_vendors(
-    cfg: KernelConfig, datasets: list[Dataset], ref: Reference, threads: int | None = None
+    cfg: KernelConfig, datasets: list[Dataset], ref: Reference, threads: int = 1
 ) -> list[tuple[str, float]]:
     """Vendors sorted by dataset value, descending; ties broken by id ascending."""
     ids = [d.id for d in datasets]

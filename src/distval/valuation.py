@@ -79,9 +79,7 @@ def build_mixture_reference(
     return Reference(kind=ReferenceKind.MIXTURE, data=data)
 
 
-def value_dataset(
-    cfg: KernelConfig, D: Dataset, ref: Reference, threads: int | None = None
-) -> float:
+def value_dataset(cfg: KernelConfig, D: Dataset, ref: Reference, threads: int = 1) -> float:
     """Negated MMD estimate between the dataset and the reference sample."""
     check_same_dim(D, ref.data, "value_dataset")
     return -mmd_biased(cfg, D, ref.data, threads)

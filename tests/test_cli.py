@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -73,6 +72,15 @@ def test_ingest_empty_file(tmp_path):
 def test_ingest_missing_file(tmp_path):
     with pytest.raises(InputError, match="not found"):
         ingest(VendorManifest(entries=[("v", str(tmp_path / "nope.csv"))], dim=1))
+
+
+def test_ingest_unreadable_file(tmp_path):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("1.0\n\xe9\n".encode("latin-1"))
+    for path, reason in [(tmp_path, "Is a directory"), (latin1, "not UTF-8 text")]:
+        with pytest.raises(InputError) as e:
+            ingest(VendorManifest(entries=[("v", str(path))], dim=1))
+        assert str(e.value).startswith(f"v: file unreadable: {path}: {reason}")
 
 
 def test_manifest_duplicate_ids(tmp_path):
@@ -317,6 +325,13 @@ def test_bad_config_json(tmp_path, capsys):
     assert main(["value", "--config", str(p)]) == 1
 
 
+def test_config_path_that_is_a_directory(tmp_path, capsys):
+    assert main(["value", "--config", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == f"error: config file unreadable: {tmp_path}: Is a directory"
+
+
 def test_sigma_auto_resolves_from_data(tmp_path, vendor_files, capsys):
     cfg = _config(tmp_path, vendor_files, kernel={"sigma": "auto"})
     rc = main(["value", "--config", str(cfg)])
@@ -336,22 +351,11 @@ def test_console_entry_point_runs():
 
 
 def test_bad_threads_env_is_input_error(tmp_path, vendor_files, capsys, monkeypatch):
+    # the worker count comes only from --threads; the environment is not read
     monkeypatch.setenv("DISTVAL_THREADS", "abc")
     cfg = _config(tmp_path, vendor_files)
-    assert main(["value", "--config", str(cfg)]) == 1
-    assert "error: DISTVAL_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("before", [None, "2"])
-def test_threads_flag_does_not_leak_into_environment(tmp_path, capsys, monkeypatch, before):
-    if before is None:
-        monkeypatch.delenv("DISTVAL_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("DISTVAL_THREADS", before)
-    p = tmp_path / "e.json"
-    p.write_text(json.dumps({"experiment": {"name": "game_verify", "n": 2, "trials": 1}}))
-    assert main(["experiment", "--threads", "3", "--seed", "1", "--config", str(p)]) == 0
-    assert os.environ.get("DISTVAL_THREADS") == before
+    assert main(["value", "--config", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["resolved_config"]["threads"] == 1
 
 
 @pytest.mark.parametrize(
@@ -389,6 +393,7 @@ def test_compare_resolved_config_echoes_only_its_flags(tmp_path, vendor_files, c
         ("rank", ["--timing"]),
         ("verify-game", ["--sigma", "1"]),
         ("verify-game", ["--threads", "7"]),
+        ("experiment", ["--threads", "3"]),
     ],
 )
 def test_commands_reject_flags_they_do_not_read(tmp_path, vendor_files, capsys, command, flag):
@@ -398,6 +403,7 @@ def test_commands_reject_flags_they_do_not_read(tmp_path, vendor_files, capsys, 
         compare={"left": "a", "right": "b"},
         policy={"eps_bias": 0.1},
         game={"distances": [0.2, 0.6]},
+        experiment={"name": "game_verify", "n": 2, "trials": 1, "seed": 1},
     )
     assert main([command, "--config", str(cfg)]) == 0
     capsys.readouterr()

@@ -37,9 +37,33 @@ def cfg(name, n, trials, seed, **extra):
     return ExperimentConfig(name=name, n=n, trials=trials, seed=seed, kernel=K1, extra=extra)
 
 
-def test_config_rejects_unknown_extra():
-    with pytest.raises(InputError):
-        cfg(ExperimentName.CORRELATION, 5, 1, 0, no_such_key=1)
+@pytest.mark.parametrize(
+    "name, key, value, error",
+    [
+        (ExperimentName.CORRELATION, "no_such_key", 1, "is not a known key"),
+        # once run as empirical mode, the ground-truth variant, or a traceback
+        (ExperimentName.INCENTIVE_COMPAT, "mode", "bogus", 'must be one of "empirical", "exact"'),
+        (ExperimentName.POLICY_SOUNDNESS, "reference", "mixture", "must be one of"),
+        (ExperimentName.CONVERGENCE, "m_full", "abc", 'must be an integer, got "abc"'),
+        (ExperimentName.INCENTIVE_COMPAT, "m", None, "must be an integer, got null"),
+        (ExperimentName.INCENTIVE_COMPAT, "m", True, "must be an integer, got true"),
+        (ExperimentName.INCENTIVE_COMPAT, "noise_var", math.inf, "must be a number"),
+        (ExperimentName.CONVERGENCE, "fractions", (0.5, 1.0), "must be a list of numbers"),
+        (ExperimentName.GAME_VERIFY, "n_values", [2.0], "must be a list of integers"),
+    ],
+    ids=[
+        "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
+        "noise_var-inf", "fractions-tuple", "n_values-floats",
+    ],
+)
+def test_config_rejects_bad_extra(name, key, value, error):
+    with pytest.raises(InputError, match=f"^config: experiment.extra.{key} {error}"):
+        cfg(name, 5, 1, 0, **{key: value})
+
+
+def test_config_null_stands_for_a_none_default():
+    c = cfg(ExperimentName.INCENTIVE_COMPAT, 5, 1, 0, misreporter=None)
+    assert c.resolved_extra()["misreporter"] is None
 
 
 def test_config_rejects_bad_counts():

@@ -121,40 +121,34 @@ def test_gram_sum_dimension_mismatch():
 
 
 def test_median_heuristic_single_pair():
-    assert median_heuristic(ds([0.0], [2.0]), cap=10) == pytest.approx(2.0)
+    assert median_heuristic(ds([0.0], [2.0])) == pytest.approx(2.0)
 
 
 def test_median_heuristic_three_points():
     # pairwise distances {1, 3, 2}; median 2
-    assert median_heuristic(ds([0.0], [1.0], [3.0]), cap=10) == pytest.approx(2.0)
+    assert median_heuristic(ds([0.0], [1.0], [3.0])) == pytest.approx(2.0)
 
 
 def test_median_heuristic_degenerate():
     with pytest.raises(InputError):
-        median_heuristic(ds([0.0], [0.0], [0.0]), cap=10)
+        median_heuristic(ds([0.0], [0.0], [0.0]))
 
 
 def test_median_heuristic_capped_and_deterministic():
     rng = np.random.default_rng(3)
     pool = Dataset("p", rng.normal(size=(5000, 2)))
-    a = median_heuristic(pool, cap=100)
-    b = median_heuristic(pool, cap=100)
+    a = median_heuristic(pool)
+    b = median_heuristic(pool)
     assert a == b > 0.0
+    # the median over the 1000 rows a seed-0 permutation picks first
+    sub = pool.points[np.random.default_rng(0).permutation(5000)[:1000]]
+    dists = np.linalg.norm(sub[:, None, :] - sub[None, :, :], axis=2)
+    assert a == pytest.approx(np.median(dists[np.triu_indices(1000, k=1)]), rel=1e-12)
 
 
-def test_threads_env_fallback(monkeypatch):
-    from distval.kernel import THREADS_ENV_VAR, resolve_threads
-
-    monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    assert resolve_threads(None) == 1
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert resolve_threads(None) == 3
-    assert resolve_threads(2) == 2  # explicit argument wins
-    with pytest.raises(InputError):
-        resolve_threads(0)
-    monkeypatch.setenv(THREADS_ENV_VAR, "abc")
-    with pytest.raises(InputError, match=THREADS_ENV_VAR):
-        resolve_threads(None)
+def test_threads_env_fallback():
+    with pytest.raises(InputError, match="threads must be >= 1"):
+        gram_sum(CFG, ds([0.0]), ds([1.0]), threads=0)
 
 
 def test_weighted_gram_sum_matches_dense_weighted_form():
