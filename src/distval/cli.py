@@ -21,10 +21,12 @@ from .data import Dataset
 from .errors import InputError, PropertyViolation
 from .experiments import (
     _BOOLEAN,
+    _COUNT,
     _INTEGER,
     _INTEGERS,
     _NUMBER,
     _NUMBERS,
+    _SEED,
     ExperimentConfig,
     ExperimentName,
     _is_number,
@@ -344,7 +346,7 @@ def cmd_experiment(cfg: dict, args) -> int:
     name = ExperimentName(exp.get("name", _one_of(ExperimentName)))
     n = exp.get("n", _INTEGER, 1)
     trials = exp.get("trials", _INTEGER, 1)
-    seed = _flag_or(args.seed, exp.get("seed", _INTEGER, None))
+    seed = _flag_or(args.seed, exp.get("seed", _SEED, None))
     # ExperimentConfig checks each extra key and value
     extra = exp.get("extra", _OBJECT, {})
     if seed is None:
@@ -371,7 +373,7 @@ def cmd_verify_game(cfg: dict, args) -> int:
     game_cfg = _section(cfg, "game", ("distances", "n_values", "trials"))
     distances = game_cfg.get("distances", _NUMBERS, None)
     n_values = game_cfg.get("n_values", _INTEGERS, [2, 3, 4, 5])
-    trials = game_cfg.get("trials", _INTEGER, 100)
+    trials = game_cfg.get("trials", _COUNT, 100)
     reports = []
     if distances is not None:
         reports.append(verify_minmax(build_game(distances)))
@@ -449,6 +451,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.seed is not None and args.seed < 0:
+            raise InputError(f"--seed must be {_SEED[0]}, got {args.seed}")
         cfg = _load_config(args.config)
         print(
             f"distval {args.command}: seed={args.seed} config={args.config}",

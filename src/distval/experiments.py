@@ -33,7 +33,7 @@ from .huber import (
 from .kernel import KernelConfig
 from .metrics import ValueVector, inversions, l2_err, l_inf_err, pearson
 # mmd_discrete stays a module attribute: perfbench/trace.py wraps it here.
-from .mmd import mmd2_unpaired, mmd_biased, mmd_discrete, signed_mmd  # noqa: F401
+from .mmd import mmd2_unbiased, mmd_biased, mmd_discrete, signed_mmd  # noqa: F401
 from .policy import PolicyParams, Verdict, compare
 from .valuation import (
     Reference,
@@ -115,12 +115,19 @@ def _one_of(values) -> tuple:
     return "one of " + ", ".join(map(json.dumps, values)), lambda v: v in values
 
 
+def _nonempty_list_of(test):
+    # a sweep over no values would certify or average nothing
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(test, v))
+
+
 # JSON kinds of config values: the type an error names, and the test.
 _NUMBER = ("a number", _is_number)
 _INTEGER = ("an integer", _is_integer)
+_COUNT = ("an integer >= 1", lambda v: _is_integer(v) and v >= 1)
+_SEED = ("an integer >= 0", lambda v: _is_integer(v) and v >= 0)
 _BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
-_NUMBERS = ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)))
-_INTEGERS = ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_integer, v)))
+_NUMBERS = ("a nonempty list of numbers", _nonempty_list_of(_is_number))
+_INTEGERS = ("a nonempty list of integers", _nonempty_list_of(_is_integer))
 
 
 def _extra_kind(key: str, default) -> tuple:
@@ -146,10 +153,10 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise InputError("experiment: trials must be >= 1")
-        if self.n < 1:
-            raise InputError("experiment: n must be >= 1")
+        for key, (what, test) in (("n", _COUNT), ("trials", _COUNT), ("seed", _SEED)):
+            value = getattr(self, key)
+            if not test(value):
+                raise InputError(f"experiment: {key} must be {what}, got {value!r}")
         defaults = _EXTRA_DEFAULTS[self.name]
         for key, value in self.extra.items():
             if key not in defaults:
@@ -233,21 +240,6 @@ def summarize(rows: list[dict], skip: tuple[str, ...] = ("trial",)) -> dict:
     return agg
 
 
-def _linreg_r2(x: np.ndarray, y: np.ndarray) -> float:
-    """Coefficient of determination of the least-squares line of y on x."""
-    xc = x - x.mean()
-    ss_x = float(xc @ xc)
-    if ss_x == 0.0:
-        return float("nan")
-    slope = float(xc @ (y - y.mean())) / ss_x
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (slope * x + intercept)
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    if ss_tot == 0.0:
-        return float("nan")
-    return 1.0 - float(resid @ resid) / ss_tot
-
-
 # ---------------------------------------------------------------------------
 # correlation: exact values against the uniform-mixture reference
 
@@ -292,13 +284,15 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
         except UndefinedCorrelationError:
             rows.append({"trial": t, "skipped": 1})
             continue
-        r2_meas = _linreg_r2(error, measured)
+        # The r^2 of a least-squares line is the squared Pearson correlation,
+        # and pearson(error, measured) is -rho since error is -true.
+        r2_meas = rho**2
         rows.append(
             {
                 "trial": t,
                 "skipped": 0,
                 "pearson": rho,
-                "r2_exact_fit": _linreg_r2(error, true),
+                "r2_exact_fit": pearson(ValueVector(error, ids), ValueVector(true, ids)) ** 2,
                 "r2_measured_on_error": r2_meas,
                 "r2_below_0.9": int(r2_meas < 0.9),
             }
@@ -497,11 +491,8 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
         mix_a = Dataset("mix", np.concatenate([d.points for d in mis], axis=0))
         gt_b, gt_a = _values(cfg.kernel, honest, ref_gt), _values(cfg.kernel, mis, ref_gt)
         ours_b, ours_a = _values(cfg.kernel, honest, mix_b), _values(cfg.kernel, mis, mix_a)
-        # Squared-MMD scoring keeps the unpaired U-statistic for every n: with
-        # n = 1 the mixture has as many rows as the vendor, where
-        # mmd2_unbiased would switch to the paired form.
-        m2_b = [-mmd2_unpaired(cfg.kernel, d, mix_b) for d in honest]
-        m2_a = [-mmd2_unpaired(cfg.kernel, d, mix_a) for d in mis]
+        m2_b = [-mmd2_unbiased(cfg.kernel, d, mix_b) for d in honest]
+        m2_a = [-mmd2_unbiased(cfg.kernel, d, mix_a) for d in mis]
         for i in range(cfg.n):
             rows.append(
                 {

@@ -28,8 +28,8 @@ class MixtureWeights:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.shape[0] < 1:
             raise InputError("weights must be a nonempty vector")
-        if np.any(w < 0):
-            raise InputError("weights must be nonnegative")
+        if not np.all(w >= 0):  # false for NaN too
+            raise InputError("weights must be nonnegative numbers")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise InputError(f"weights sum to {w.sum()!r}, not 1")
         object.__setattr__(self, "weights", w)

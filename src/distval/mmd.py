@@ -39,40 +39,23 @@ def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int = 1) -> 
     return math.sqrt(max(v, 0.0))
 
 
-def _u_statistic(cfg, D: Dataset, Dp: Dataset, paired: bool, what: str) -> float:
-    check_same_dim(D, Dp, what)
+def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
+    """The two-sample U-statistic estimate of the squared MMD, for independent
+    samples of any sizes (Gretton et al. 2012, eq. 3); may be negative.
+
+    This is a genuinely different estimator from mmd_biased**2: the
+    within-sample sums leave out their diagonals, while every cross pair is
+    kept, since x_i and y_j are independent. Two identical non-constant
+    samples therefore score slightly below 0.
+    """
+    check_same_dim(D, Dp, "mmd2_unbiased")
     m, n = len(D), len(Dp)
     if m < 2 or n < 2:
-        raise InputError(f"{what}: both samples need at least 2 points")
+        raise InputError("mmd2_unbiased: both samples need at least 2 points")
     s_xx, s_yy, s_xy = _sums(cfg, D, Dp)
     # Within-sample sums exclude the diagonal (k(x, x) = 1 for the RBF family).
     within = (s_xx - m) / (m * (m - 1)) + (s_yy - n) / (n * (n - 1))
-    if paired:
-        diag = float(
-            np.exp(((D.points - Dp.points) ** 2).sum(axis=1) / (-2.0 * cfg.sigma**2)).sum()
-        )
-        return within - 2.0 * (s_xy - diag) / (m * (m - 1))
     return within - 2.0 * s_xy / (m * n)
-
-
-def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
-    """Unbiased U-statistic estimate of the squared MMD; may be negative.
-
-    This is a genuinely different estimator from mmd_biased**2: squaring the
-    biased estimator does not remove the diagonal terms. For equal sample
-    sizes the paired one-sample form is used (the i-th cross pair excluded as
-    well), so identical samples score exactly 0.
-    """
-    return _u_statistic(cfg, D, Dp, len(D) == len(Dp), "mmd2_unbiased")
-
-
-def mmd2_unpaired(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
-    """The two-sample U-statistic for independent samples, for any sizes.
-
-    Every cross pair is kept, since x_i and y_j are independent; this is
-    mmd2_unbiased whenever the sample sizes differ.
-    """
-    return _u_statistic(cfg, D, Dp, False, "mmd2_unpaired")
 
 
 def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:

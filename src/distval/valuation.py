@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import Dataset, DiscretePmf, check_same_dim, mix_pmfs
 from .errors import InputError
-from .huber import HuberSpec, MixtureWeights, huber_mix, realized_pmf
+from .huber import HuberSpec, MixtureWeights, huber_mix, huber_value_exact, realized_pmf
 from .kernel import KernelConfig
 from .mmd import mmd_biased, mmd_discrete
 
@@ -99,8 +99,6 @@ def approximation_error_bound(
     specs: list[HuberSpec], w: MixtureWeights, cfg: KernelConfig
 ) -> float:
     """Worst-case valuation error from using the mixture reference in place of
-    the base: eps_mix * d(outlier_mix, base). Zero when eps_mix == 0."""
-    mixed = huber_mix(specs, w)
-    if mixed.epsilon == 0.0 or mixed.outlier is None:
-        return 0.0
-    return mixed.epsilon * mmd_discrete(cfg, mixed.outlier, mixed.base)
+    the base: eps_mix * d(outlier_mix, base), the magnitude of the mixture's
+    exact value. +0.0 when eps_mix == 0."""
+    return abs(huber_value_exact(cfg, huber_mix(specs, w)))

@@ -481,6 +481,14 @@ def _extra_case(name, key, value):
         _extra_case("game_verify", "n_values", [2.5]),
         _extra_case("incentive_compat", "m", None),
         _extra_case("incentive_compat", "modes", "exact"),
+        # once numpy's ValueError traceback
+        ("experiment", "experiment.seed", -1, "experiment.seed"),
+        # once a certificate over zero games, a ZeroDivisionError or no rows
+        ("verify-game", "game.trials", 0, "game.trials"),
+        ("verify-game", "game.trials", -1, "game.trials"),
+        ("verify-game", "game.n_values", [], "game.n_values"),
+        _extra_case("game_verify", "n_values", []),
+        _extra_case("convergence", "fractions", []),
     ],
 )
 def test_malformed_config_is_input_error(
@@ -499,6 +507,18 @@ def test_malformed_config_is_input_error(
     assert "Traceback" not in err
     last_line = err.strip().splitlines()[-1]
     assert last_line.startswith("error: config: ") and named in last_line
+
+
+@pytest.mark.parametrize("command", ["value", "rank", "compare", "experiment", "verify-game"])
+def test_negative_seed_is_input_error(tmp_path, vendor_files, capsys, command):
+    # once numpy's ValueError traceback
+    p = _config(tmp_path, vendor_files, **{**_EVERY_SECTION, "reference": {"kind": "uniform"}})
+    assert main([command, "--config", str(p), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", str(p), "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "error: --seed must be an integer >= 0, got -1"
 
 
 def test_every_section_config_is_valid(tmp_path, vendor_files, capsys):

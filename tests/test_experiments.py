@@ -48,12 +48,16 @@ def cfg(name, n, trials, seed, **extra):
         (ExperimentName.INCENTIVE_COMPAT, "m", None, "must be an integer, got null"),
         (ExperimentName.INCENTIVE_COMPAT, "m", True, "must be an integer, got true"),
         (ExperimentName.INCENTIVE_COMPAT, "noise_var", math.inf, "must be a number"),
-        (ExperimentName.CONVERGENCE, "fractions", (0.5, 1.0), "must be a list of numbers"),
-        (ExperimentName.GAME_VERIFY, "n_values", [2.0], "must be a list of integers"),
+        (ExperimentName.CONVERGENCE, "fractions", (0.5, 1.0), "must be a nonempty list of numbers"),
+        (ExperimentName.GAME_VERIFY, "n_values", [2.0], "must be a nonempty list of integers"),
+        # once a report with no rows, or a ZeroDivisionError
+        (ExperimentName.CONVERGENCE, "fractions", [], "must be a nonempty list of numbers"),
+        (ExperimentName.GAME_VERIFY, "n_values", [], "must be a nonempty list of integers"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
-        "noise_var-inf", "fractions-tuple", "n_values-floats",
+        "noise_var-inf", "fractions-tuple", "n_values-floats", "fractions-empty",
+        "n_values-empty",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):
@@ -71,6 +75,22 @@ def test_config_rejects_bad_counts():
         cfg(ExperimentName.CORRELATION, 5, 0, 0)
     with pytest.raises(InputError):
         cfg(ExperimentName.CORRELATION, 0, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "n, trials, seed, error",
+    [
+        # once numpy TypeErrors from inside `run`, one trial, or a ValueError
+        (2.5, 1, 0, "n must be an integer >= 1, got 2.5"),
+        (5, True, 0, "trials must be an integer >= 1, got True"),
+        (5, 1, 1.5, "seed must be an integer >= 0, got 1.5"),
+        (5, 1, -1, "seed must be an integer >= 0, got -1"),
+    ],
+    ids=["n-float", "trials-bool", "seed-float", "seed-negative"],
+)
+def test_config_rejects_non_integer_counts(n, trials, seed, error):
+    with pytest.raises(InputError, match=f"^experiment: {error}$"):
+        cfg(ExperimentName.CORRELATION, n, trials, seed)
 
 
 def test_report_json_is_strict():
@@ -142,6 +162,8 @@ def test_correlation_rows_shape():
         assert -1.0 <= r["pearson"] <= 1.0
         assert r["r2_exact_fit"] == pytest.approx(1.0, abs=1e-9)
         assert r["r2_measured_on_error"] <= 1.0
+        # the r^2 of the least-squares line is the squared correlation
+        assert r["r2_measured_on_error"] == r["pearson"] ** 2
 
 
 def test_correlation_degenerate_trials_skipped():
@@ -240,8 +262,8 @@ def test_game_verify_all_certified():
 
 def test_incentive_squared_mmd_stays_unpaired_for_one_vendor():
     # With n = 1 the mixture reference is the vendor's own sample, before and
-    # after the misreport. The paired U-statistic would score both exactly 0;
-    # the unpaired one does not, so the column changes.
+    # after the misreport. The U-statistic keeps every cross pair, so it does
+    # not score such a pair exactly 0, and the column changes.
     rep = run_incentive(
         cfg(ExperimentName.INCENTIVE_COMPAT, 1, 2, 5, noise_var=4.0, m=50, m_star=100)
     )
@@ -259,7 +281,9 @@ def test_correlation_values_match_a_per_pair_reference(monkeypatch):
     seen = []
 
     def capture(a, b):
-        seen.append((a.values, b.values))
+        # r2_exact_fit's call pairs the error levels with their negation
+        if not np.array_equal(a.values, -b.values):
+            seen.append((a.values, b.values))
         return pearson(a, b)
 
     monkeypatch.setattr(distval.experiments, "pearson", capture)

@@ -48,6 +48,8 @@ def test_weights_validation():
         MixtureWeights(np.array([0.5, 0.6]))
     with pytest.raises(InputError):
         MixtureWeights(np.array([-0.5, 1.5]))
+    with pytest.raises(InputError):
+        MixtureWeights(np.array([np.nan, 1.0]))
     assert len(MixtureWeights.uniform(4)) == 4
 
 

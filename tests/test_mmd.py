@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from distval import kernel
-from distval.mmd import mmd2_unpaired
 from distval import (
     Dataset,
     DiscretePmf,
@@ -78,11 +77,6 @@ def test_u_stat_identical_constant_samples():
     assert mmd2_unbiased(CFG, ds([0.0], [0.0]), ds([0.0], [0.0])) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_u_stat_identical_samples_cancel():
-    # paired form: within-terms equal cross-terms when D = D'
-    assert mmd2_unbiased(CFG, ds([0.0], [1.0]), ds([0.0], [1.0])) == pytest.approx(0.0, abs=1e-15)
-
-
 def test_u_stat_far_clusters():
     # hand computation: 1 + 1 - 2 exp(-12.5)
     got = mmd2_unbiased(CFG, ds([0.0], [0.0]), ds([5.0], [5.0]))
@@ -107,10 +101,8 @@ def test_u_stat_can_be_negative():
 def test_unpaired_u_stat_keeps_every_cross_pair():
     a, b = ds([0.0], [1.0]), ds([0.0], [1.0])
     # within terms 2 * exp(-0.5) / 2 each, cross term 2 * (2 + 2 exp(-0.5)) / 4
-    assert mmd2_unpaired(CFG, a, b) == pytest.approx(-1.0 + math.exp(-0.5), rel=1e-13)
-    assert mmd2_unbiased(CFG, a, b) == pytest.approx(0.0, abs=1e-15)
-    c = ds([0.0], [1.0], [3.0])
-    assert mmd2_unpaired(CFG, a, c) == mmd2_unbiased(CFG, a, c)
+    # identical non-constant samples of equal size score below 0
+    assert mmd2_unbiased(CFG, a, b) == pytest.approx(-1.0 + math.exp(-0.5), rel=1e-13)
 
 
 def test_discrete_identical():

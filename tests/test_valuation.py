@@ -119,9 +119,11 @@ def test_value_distribution_exact_examples():
 def test_error_bound_zero_cases():
     d0 = pmf([[0.0]], [1.0])
     specs = [HuberSpec(0.0, d0, None), HuberSpec(0.0, d0, None)]
-    assert approximation_error_bound(specs, MixtureWeights.uniform(2), CFG) == 0.0
+    bound = approximation_error_bound(specs, MixtureWeights.uniform(2), CFG)
+    assert bound == 0.0 and math.copysign(1.0, bound) == 1.0  # +0.0, not -0.0
     specs = [HuberSpec(0.4, d0, d0), HuberSpec(0.2, d0, d0)]
-    assert approximation_error_bound(specs, MixtureWeights.uniform(2), CFG) == pytest.approx(0.0, abs=1e-12)
+    bound = approximation_error_bound(specs, MixtureWeights.uniform(2), CFG)
+    assert bound == pytest.approx(0.0, abs=1e-12) and math.copysign(1.0, bound) == 1.0
 
 
 def test_error_bound_known_product():
