@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,8 +81,31 @@ def _read_text(path: str, what: str) -> str:
 
 
 def _read_csv_points(path: str, dim: int, has_header: bool, owner: str) -> np.ndarray:
+    """The file's rows as an (m, dim) array, with blank lines skipped and line 1
+    skipped when `has_header` is set.
+
+    `np.loadtxt` reads a well-formed file. Anything it refuses, or reads as a
+    different shape or with a non-finite cell, goes through the per-cell
+    reader, which accepts the same files and names the first bad cell.
+    """
+    text = _read_text(path, f"{owner}: file")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # "input contained no data"
+            pts = np.loadtxt(
+                io.StringIO(text, newline=""), delimiter=",", ndmin=2, comments=None,
+                skiprows=int(has_header),
+            )
+        if pts.shape[0] >= 1 and pts.shape[1] == dim and np.isfinite(pts).all():
+            return pts
+    except ValueError:
+        pass
+    return _parse_csv_cells(text, path, dim, has_header, owner)
+
+
+def _parse_csv_cells(text: str, path: str, dim: int, has_header: bool, owner: str) -> np.ndarray:
     rows = []
-    reader = csv.reader(io.StringIO(_read_text(path, f"{owner}: file"), newline=""))
+    reader = csv.reader(io.StringIO(text, newline=""))
     for lineno, cells in enumerate(reader, start=1):
         if has_header and lineno == 1:
             continue

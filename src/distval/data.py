@@ -21,14 +21,43 @@ def _frozen_copy(a) -> np.ndarray:
     return out
 
 
+def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of a nonempty (m, d) array in lexicographic order, the
+    inverse (X equals rows[inverse]) and the counts, as np.unique(X, axis=0)
+    gives them. Rows equal under == are one (-0.0 matches 0.0); each distinct
+    row is represented by its first occurrence in X."""
+    order = np.argsort(X[:, 0], kind="stable")
+    if X.shape[1] > 1:
+        lead = X[order, 0]
+        # Continuous rows rarely tie in column 0, and then that sort is the
+        # whole order; lexsort costs one stable sort per column.
+        if not (lead[1:] > lead[:-1]).all():
+            order = np.lexsort(X.T[::-1])  # stable, column 0 the primary key
+    ordered = X[order]
+    first = np.empty(len(X), dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    counts = np.diff(np.flatnonzero(np.append(first, True)))
+    return ordered[first], inverse, counts
+
+
+def _row_keys(X: np.ndarray) -> np.ndarray:
+    # One opaque byte string per row; adding 0.0 turns -0.0 into 0.0, so rows
+    # equal under == have equal keys.
+    rows = np.ascontiguousarray(X + 0.0)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of fixed-dimension feature vectors from one vendor.
 
     `points` is a read-only (m, d) float copy of the caller's finite array;
     row order is meaningful and preserved by every operation in this package.
-    The Gram self-sum of its `atoms` is kept per kernel; the points are a
-    read-only copy, so a kept sum cannot go stale.
+    The Gram self-sum of its `atoms` and their kernel mean embedding are kept
+    per kernel; the points are a read-only copy, so nothing kept can go stale.
     """
 
     id: str
@@ -36,7 +65,11 @@ class Dataset:
     _atoms: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    _self_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # The atoms' row keys in sorted order, and each sorted key's atom index.
+    _index: tuple[np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         pts = _frozen_copy(self.points)
@@ -55,11 +88,31 @@ class Dataset:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def self_sum(self, cfg: KernelConfig, compute: Callable[[], float]) -> float:
-        """The Gram self-sum under kernel `cfg`, from `compute()` on first use only."""
-        if cfg not in self._self_sums:
-            self._self_sums[cfg] = compute()
-        return self._self_sums[cfg]
+    def embedding(
+        self, cfg: KernelConfig, compute: Callable[[], tuple[float, np.ndarray]]
+    ) -> tuple[float, np.ndarray]:
+        """The atoms' Gram self-sum w^T K(U, U) w under kernel `cfg` and their
+        kernel mean embedding g = K(U, U) w, from `compute()` on first use only."""
+        if cfg not in self._embeddings:
+            s, g = compute()
+            g.flags.writeable = False
+            self._embeddings[cfg] = (s, g)
+        return self._embeddings[cfg]
+
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """For each of `rows`, the index of the atom equal to it, or -1.
+
+        Rows match under == as in `atoms`, so -0.0 matches 0.0.
+        """
+        atoms = self.atoms[0]
+        if self._index is None:
+            keys = _row_keys(atoms)
+            order = np.argsort(keys)
+            object.__setattr__(self, "_index", (keys[order], order))
+        keys, order = self._index
+        at = np.minimum(np.searchsorted(keys, _row_keys(rows)), len(keys) - 1)
+        idx = order[at]
+        return np.where((atoms[idx] == rows).all(axis=1), idx, -1)
 
     @property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +123,7 @@ class Dataset:
         sum over atom pairs.
         """
         if self._atoms is None:
-            rows, counts = np.unique(self.points, axis=0, return_counts=True)
+            rows, _, counts = _distinct_rows(self.points)
             rows.flags.writeable = False
             object.__setattr__(self, "_atoms", (rows, _frozen_copy(counts)))
         return self._atoms
@@ -102,7 +155,7 @@ class DiscretePmf:
             raise InputError("pmf: negative probability")
         if abs(probs.sum() - 1.0) > PMF_SUM_TOL:
             raise InputError(f"pmf: probabilities sum to {probs.sum()!r}, not 1")
-        if np.unique(supp, axis=0).shape[0] != supp.shape[0]:
+        if len(_distinct_rows(supp)[0]) != len(supp):
             raise InputError("pmf: support points must be pairwise distinct")
         object.__setattr__(self, "support", supp)
         object.__setattr__(self, "probs", probs)
@@ -123,8 +176,8 @@ def check_same_dim(a, b, what: str = "inputs"):
 def on_union_support(pmfs: list[DiscretePmf], masses: list[np.ndarray]):
     """The sorted union U of the pmfs' supports (which share a dimension), and
     the masses, one array per pmf, added up per point of U in pmf order."""
-    U, inv = np.unique(np.concatenate([p.support for p in pmfs]), axis=0, return_inverse=True)
-    return U, np.bincount(inv.reshape(-1), weights=np.concatenate(masses), minlength=len(U))
+    U, inv, _ = _distinct_rows(np.concatenate([p.support for p in pmfs]))
+    return U, np.bincount(inv, weights=np.concatenate(masses), minlength=len(U))
 
 
 def mix_pmfs(pmfs: list[DiscretePmf], weights: np.ndarray) -> DiscretePmf:

@@ -128,12 +128,20 @@ _SEED = ("an integer >= 0", lambda v: _is_integer(v) and v >= 0)
 _BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 _NUMBERS = ("a nonempty list of numbers", _nonempty_list_of(_is_number))
 _INTEGERS = ("a nonempty list of integers", _nonempty_list_of(_is_integer))
+# Shares of m_full rows: above 1 would ask for rows there are not, and 0 or
+# less for none.
+_FRACTIONS = (
+    "a nonempty list of numbers in (0, 1]",
+    _nonempty_list_of(lambda v: _is_number(v) and 0 < v <= 1),
+)
 
 
 def _extra_kind(key: str, default) -> tuple:
     """The JSON kind of an extra value, read off its default."""
     if key in _EXTRA_CHOICES:
         return _one_of(_EXTRA_CHOICES[key])
+    if key == "fractions":
+        return _FRACTIONS
     if isinstance(default, list):
         return _INTEGERS if all(map(_is_integer, default)) else _NUMBERS
     # an int default, or None for an optional index, takes an integer

@@ -5,11 +5,13 @@ The O(m^2) kernel sums here are the hot path of every distance computation.
 a block stays in cache: each block fills one buffer in place with the
 squared distances, then the kernel values, then their weighted row sums.
 A self-sum (both sides equal by content) evaluates only the upper triangle,
-since K(X, X) is symmetric with a unit diagonal. Coordinates are centred on
-the pooled mean first, so the expanded-quadratic distances keep their
-precision far from the origin. Results are identical for any worker count:
+since K(X, X) is symmetric with a unit diagonal; the same pass also gives
+the kernel mean embedding K(X, X) w from the triangle's row and column sums.
+Coordinates are centred on the pooled mean first, so the expanded-quadratic
+distances keep their precision far from the origin. Results are identical for any worker count:
 the blocks depend only on the input sizes, each row is reduced on its own,
-and the weighted per-row sums are combined exactly in index order.
+the column sums are added in block order on the calling thread, and the
+weighted per-row sums are combined exactly in index order.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -126,16 +129,78 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _run_blocks(fn, spans: list[tuple[int, int]], threads: int) -> None:
-    """fn(lo, hi) for every span, on at most one worker per span."""
+def _run_blocks(fn, spans: list[tuple[int, int]], threads: int, take=None) -> None:
+    """fn(lo, hi) for every span, on at most one worker per span; `take`, if
+    given, receives each span's lo and result on the calling thread, in span
+    order, and no result is kept once it has been taken."""
     workers = min(threads, len(spans))
     if workers <= 1:
-        for lo, hi in spans:
-            fn(lo, hi)
-        return
-    pool = _pool(workers)
-    for fut in [pool.submit(fn, lo, hi) for lo, hi in spans]:
-        fut.result()
+        results = (fn(lo, hi) for lo, hi in spans)
+    else:
+        pool = _pool(workers)
+        futures = deque(pool.submit(fn, lo, hi) for lo, hi in spans)
+        results = (futures.popleft().result() for _ in spans)
+    for (lo, _), out in zip(spans, results):
+        if take is not None:
+            take(lo, out)
+
+
+def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
+    """Each row's weighted sum over the row blocks of K(X, Y).
+
+    r_i = sum_j k(x_i, y_j) wy_j; when `symmetric` (Y is X) only j > i, and
+    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j), each block's
+    weighted column sums added in block order.
+    """
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
+    Xc, xx, Yc, yy = _centered(X, X if symmetric else Y)
+    m, n = X.shape[0], Y.shape[0]
+    rows = max(1, _BLOCK_ENTRIES // max(1, n))
+    # Multiplying by 1.0 is exact, so skipping it changes no bit.
+    unit_wy = bool((wy == 1.0).all())
+    # Zeroes the diagonal and lower triangle of a block's leading square.
+    lower = np.tri(min(rows, m), dtype=bool) if symmetric else None
+    row_sums = np.empty(m)
+    col_sums = np.zeros(n) if symmetric else None
+
+    def block(lo: int, hi: int):
+        c0 = lo if symmetric else 0
+        buf = np.empty((hi - lo, n - c0))
+        _gram_block(cfg, Xc[lo:hi], xx[lo:hi], Yc[c0:], yy[c0:], buf)
+        cols = None
+        if symmetric:
+            buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+            cols = wy[lo:hi] @ buf
+        if not unit_wy:
+            buf *= wy[c0:]
+        buf.sum(axis=1, out=row_sums[lo:hi])
+        return cols
+
+    def add_cols(lo: int, cols) -> None:
+        col_sums[lo:] += cols
+
+    spans = [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
+    _run_blocks(block, spans, threads, add_cols if symmetric else None)
+    return row_sums, col_sums
+
+
+def _self_sum_and_embedding(
+    cfg: KernelConfig, X: np.ndarray, w: np.ndarray, threads: int = 1
+) -> tuple[float, np.ndarray]:
+    """w^T K(X, X) w, and the kernel mean embedding g = K(X, X) w at the rows.
+
+    One upper-triangle pass gives both. The sum is taken as
+    sum_i w_i^2 + 2 sum_i w_i r_i with r_i = sum_{j>i} w_j k(x_i, x_j), and
+    g = w + r + c, where c_j = sum_{i<j} w_i k(x_i, x_j) are the triangle's
+    weighted column sums. Both are bit-identical for any worker count.
+    """
+    r, c = _reduce_blocks(cfg, X, X, w, threads, symmetric=True)
+    # k(x, x) = 1 exactly, so the diagonal contributes w_i^2 to the sum and w_i to g.
+    s = math.fsum(np.concatenate((w * w, 2.0 * w * r)).tolist())
+    g = w + r
+    g += c
+    return s, g
 
 
 def weighted_gram_sum(
@@ -150,37 +215,15 @@ def weighted_gram_sum(
 
     When (X, wx) equals (Y, wy) by content the sum is taken as
     sum_i wx_i^2 + 2 sum_{i<j} wx_i wx_j k(x_i, x_j), half the kernel
-    entries; a cross sum between equal inputs takes the same route, so it is
-    bit-identical to the self-sum. Deterministic for any worker count: the
-    row blocks depend only on the input sizes, each row's weighted sum is
-    reduced on its own, and the rows are combined exactly (math.fsum).
+    entries (`_self_sum_and_embedding`); a cross sum between equal inputs takes
+    the same route, so it is bit-identical to the self-sum. Deterministic for
+    any worker count: the row blocks depend only on the input sizes, each
+    row's weighted sum is reduced on its own, and the rows are combined
+    exactly (math.fsum).
     """
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    symmetric = (X is Y or np.array_equal(X, Y)) and (wx is wy or np.array_equal(wx, wy))
-    Xc, xx, Yc, yy = _centered(X, X if symmetric else Y)
-    m, n = X.shape[0], Y.shape[0]
-    rows = max(1, _BLOCK_ENTRIES // max(1, n))
-    # Multiplying by 1.0 is exact, so skipping it changes no bit.
-    unit_wy = bool((wy == 1.0).all())
-    # Zeroes the diagonal and lower triangle of a block's leading square.
-    lower = np.tri(min(rows, m), dtype=bool) if symmetric else None
-    row_sums = np.empty(m)
-
-    def block(lo: int, hi: int) -> None:
-        c0 = lo if symmetric else 0
-        buf = np.empty((hi - lo, n - c0))
-        _gram_block(cfg, Xc[lo:hi], xx[lo:hi], Yc[c0:], yy[c0:], buf)
-        if not unit_wy:
-            buf *= wy[c0:]
-        if symmetric:
-            buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-        buf.sum(axis=1, out=row_sums[lo:hi])
-
-    _run_blocks(block, [(lo, min(lo + rows, m)) for lo in range(0, m, rows)], threads)
-    if symmetric:
-        # k(x, x) = 1 exactly, so the diagonal contributes wx_i^2.
-        return math.fsum(np.concatenate((wx * wx, 2.0 * wx * row_sums)).tolist())
+    if (X is Y or np.array_equal(X, Y)) and (wx is wy or np.array_equal(wx, wy)):
+        return _self_sum_and_embedding(cfg, X, wx, threads)[0]
+    row_sums = _reduce_blocks(cfg, X, Y, wy, threads, symmetric=False)[0]
     return math.fsum((wx * row_sums).tolist())
 
 

@@ -5,11 +5,15 @@ Three routes to the same metric:
   * mmd2_unbiased -- U-statistic estimator of the squared MMD (may be negative);
   * mmd_discrete -- exact population MMD between finite-support distributions.
 
-All of them are formulas over one primitive, `weighted_gram_sum`. A
-Dataset enters as its distinct rows weighted by their counts, and its
-self-sum is computed once per kernel and kept on it. Two pmfs enter as one
-signed measure, p - q on the union of their supports, whose MMD is the
-square root of one quadratic form (`signed_mmd`).
+All of them are formulas over one weighted kernel sum. A Dataset enters as
+its distinct rows weighted by their counts. Its self-sum and its kernel mean
+embedding at those rows, g = K(U, U) w, come from one upper-triangle pass,
+once per kernel, and are kept on it. A cross sum against a sample that holds
+the other's rows then reads g there (MMD is the RKHS distance between mean
+embeddings, Gretton et al. 2012, Lemma 6), and only rows it does not hold
+cost kernel entries. Two pmfs enter as one signed measure, p - q on the
+union of their supports, whose MMD is the square root of one quadratic
+form (`signed_mmd`).
 """
 from __future__ import annotations
 
@@ -19,14 +23,41 @@ import numpy as np
 
 from .data import Dataset, DiscretePmf, check_same_dim, on_union_support
 from .errors import InputError
-from .kernel import KernelConfig, weighted_gram_sum
+from .kernel import KernelConfig, _self_sum_and_embedding, weighted_gram_sum
 
 
-def _sums(cfg: KernelConfig, A, B, threads: int = 1) -> tuple[float, float, float]:
-    """Self-sums of A and B (each kept on its input) and their cross sum."""
-    s_aa = A.self_sum(cfg, lambda: weighted_gram_sum(cfg, *A.atoms, *A.atoms, threads))
-    s_bb = B.self_sum(cfg, lambda: weighted_gram_sum(cfg, *B.atoms, *B.atoms, threads))
-    return s_aa, s_bb, weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
+def _embedding(cfg: KernelConfig, D: Dataset, threads: int) -> tuple[float, np.ndarray]:
+    return D.embedding(cfg, lambda: _self_sum_and_embedding(cfg, *D.atoms, threads))
+
+
+def _sums(
+    cfg: KernelConfig, A: Dataset, B: Dataset, threads: int = 1
+) -> tuple[float, float, float]:
+    """Self-sums of A and B (each kept on its input) and their cross sum.
+
+    The cross sum works from the kept embedding g of the input with more
+    atoms (B's on a tie): an atom of the other input that is also one of its
+    atoms adds w_i g[idx], and only the atoms not found there go through a
+    Gram sum against it, in the A-rows, B-columns orientation.
+    """
+    s_aa, _ = _embedding(cfg, A, threads)
+    s_bb, _ = _embedding(cfg, B, threads)
+    (xa, wa), (xb, wb) = A.atoms, B.atoms
+    if A is B or (np.array_equal(xa, xb) and np.array_equal(wa, wb)):
+        return s_aa, s_bb, s_aa  # the self route, as weighted_gram_sum takes it
+    a_small = len(xa) <= len(xb)
+    x, w, big = (xa, wa, B) if a_small else (xb, wb, A)
+    idx = big._find(x)
+    found = idx >= 0
+    g = _embedding(cfg, big, threads)[1]
+    terms = (w[found] * g[idx[found]]).tolist()
+    if not found.all():
+        xr, wr = x[~found], w[~found]
+        if a_small:
+            terms.append(weighted_gram_sum(cfg, xr, wr, xb, wb, threads))
+        else:
+            terms.append(weighted_gram_sum(cfg, xa, wa, xr, wr, threads))
+    return s_aa, s_bb, math.fsum(terms)
 
 
 def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int = 1) -> float:

@@ -5,8 +5,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from distval import Dataset, InputError
+from distval import cli
 from distval.cli import VendorManifest, ingest, main, write_dataset_csv
 
 
@@ -95,6 +98,96 @@ def test_csv_round_trip(tmp_path):
     write_dataset_csv(d, str(out))
     (back,) = ingest(VendorManifest(entries=[("r", str(out))], dim=3))
     assert np.array_equal(back.points, d.points)  # repr round-trips floats
+
+
+def _both_readers(path, text, dim, has_header):
+    """What ingest's reader and the per-cell reader alone make of the same
+    file: an array, or the message of the input error."""
+    path.write_bytes(text.encode("utf-8"))
+    out = []
+    for read in (
+        lambda: cli._read_csv_points(str(path), dim, has_header, "v"),
+        lambda: cli._parse_csv_cells(text, str(path), dim, has_header, "v"),
+    ):
+        try:
+            out.append(read())
+        except InputError as e:
+            out.append(str(e))
+    return out
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  "])
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# tmp_path is shared by a test's examples; each example rewrites the one file
+_ONE_FILE = settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@st.composite
+def _csv_files(draw, bad_cells=()):
+    """(text, dim, has_header): rows of %.17g or repr cells with whitespace
+    around them, blank lines, LF or CRLF endings and an optional header; each
+    of `bad_cells` may replace one cell, and a row may lose its last cell."""
+    dim = draw(st.integers(1, 4))
+    # np.loadtxt refuses a line of only whitespace, so half the files have
+    # none and are read by the fast path
+    blanks = draw(st.sampled_from([[""], ["", " ", "\t"]]))
+    lines = []
+    for _ in range(draw(st.integers(1, 12))):
+        cells = []
+        for _ in range(dim):
+            fmt = draw(st.sampled_from(["%.17g", "%r"]))
+            cells.append(draw(_PAD) + fmt % draw(_FINITE) + draw(_PAD))
+        lines.append(",".join(cells))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(blanks)))
+    if bad_cells:
+        i = draw(st.integers(0, len(lines) - 1))
+        bad = draw(st.sampled_from(list(bad_cells) + ["short row"]))
+        cells = lines[i].split(",")
+        if bad == "short row":
+            cells = cells[:-1]
+        else:
+            cells[draw(st.integers(0, len(cells) - 1))] = bad
+        lines[i] = ",".join(cells)
+    has_header = draw(st.booleans())
+    if has_header:
+        lines.insert(0, ",".join(f"x{j}" for j in range(dim)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol])), dim, has_header
+
+
+@given(_csv_files())
+@settings(_ONE_FILE, max_examples=150)
+def test_fast_ingest_is_byte_identical_to_the_per_cell_reader(tmp_path, file):
+    text, dim, has_header = file
+    fast, cells = _both_readers(tmp_path / "v.csv", text, dim, has_header)
+    assert isinstance(cells, np.ndarray)
+    assert fast.dtype == cells.dtype and fast.shape == cells.shape
+    assert fast.tobytes() == cells.tobytes()
+
+
+def test_fast_ingest_reads_a_plain_file_without_the_per_cell_reader(tmp_path, monkeypatch):
+    f = tmp_path / "v.csv"
+    f.write_text("x,y\r\n 1.5 ,-0\r\n\r\n2e-3,\t4\r\n")
+    monkeypatch.setattr(cli, "_parse_csv_cells", None)
+    (d,) = ingest(VendorManifest(entries=[("v", str(f))], dim=2, has_header=True))
+    assert d.points.tolist() == [[1.5, 0.0], [2e-3, 4.0]]
+
+
+@given(
+    st.one_of(
+        _csv_files(bad_cells=['"1.0"', "1_000", "#1", "# note", "nan", "inf", "-inf", "1e999"]),
+        st.tuples(st.text("0123456789.,-+e_#\"nai \t\r\n", max_size=40), st.integers(1, 3),
+                  st.booleans()),
+    )
+)
+@settings(_ONE_FILE, max_examples=200)
+def test_fast_ingest_gives_the_per_cell_readers_result_or_error(tmp_path, file):
+    fast, cells = _both_readers(tmp_path / "v.csv", *file)
+    if isinstance(cells, str):
+        assert fast == cells
+    else:
+        assert fast.tobytes() == cells.tobytes() and fast.shape == cells.shape
 
 
 def _config(tmp_path, vendor_files, **overrides):
@@ -489,6 +582,8 @@ def _extra_case(name, key, value):
         ("verify-game", "game.n_values", [], "game.n_values"),
         _extra_case("game_verify", "n_values", []),
         _extra_case("convergence", "fractions", []),
+        # once rows for fractions 2.0 (m above m_full), -0.5 and 0.0 (m 1)
+        _extra_case("convergence", "fractions", [2.0, -0.5, 0.0]),
     ],
 )
 def test_malformed_config_is_input_error(

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distval import Dataset, DiscretePmf, InputError, KernelConfig, mix_pmfs, mmd_biased
+from distval.data import _distinct_rows
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -52,6 +55,26 @@ def test_atoms_are_distinct_rows_with_counts():
     assert rows.tolist() == [[1.0, 5.0], [2.0, 0.0]]
     assert counts.tolist() == [1.0, 3.0]
     assert counts.sum() == len(d)
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.lists(
+            st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-300, 7.0]), min_size=d, max_size=d),
+            min_size=1, max_size=30,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_distinct_rows_match_np_unique(rows):
+    X = np.array(rows)
+    got, inverse, counts = _distinct_rows(X)
+    want, want_inverse, want_counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    # == ignores the sign of a zero, the one thing allowed to differ
+    assert got.shape == want.shape and (got == want).all()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert counts.tolist() == want_counts.tolist()
+    assert (got[inverse] == X).all()
 
 
 def _in_order_mix(pmfs, weights):

@@ -53,11 +53,15 @@ def cfg(name, n, trials, seed, **extra):
         # once a report with no rows, or a ZeroDivisionError
         (ExperimentName.CONVERGENCE, "fractions", [], "must be a nonempty list of numbers"),
         (ExperimentName.GAME_VERIFY, "n_values", [], "must be a nonempty list of integers"),
+        # once a row at m_full rows labelled fraction 2.0, and rows at m = 1
+        (ExperimentName.CONVERGENCE, "fractions", [2.0], r"must be .* numbers in \(0, 1\], got \[2.0\]"),
+        (ExperimentName.CONVERGENCE, "fractions", [0.5, -0.5], "must be a nonempty list of numbers in"),
+        (ExperimentName.CONVERGENCE, "fractions", [0.0, 1.0], "must be a nonempty list of numbers in"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
         "noise_var-inf", "fractions-tuple", "n_values-floats", "fractions-empty",
-        "n_values-empty",
+        "n_values-empty", "fractions-above-1", "fractions-negative", "fractions-zero",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):

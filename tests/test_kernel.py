@@ -191,6 +191,24 @@ def test_weighted_self_sum_matches_dense_weighted_form():
 
 
 @pytest.mark.parametrize("unit", [True, False])
+def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
+    # g = K(X, X) w from the triangle's row sums, column sums and diagonal
+    rng = np.random.default_rng(19)
+    cfg = KernelConfig(sigma=1.5)
+    X = rng.normal(size=(150, 3))
+    w = np.ones(150) if unit else rng.uniform(0.1, 3.0, size=150)
+    dense = kernel.gram_matrix(cfg, X, X) @ w
+    # a small block size gives many blocks, each adding its column sums
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
+        got = [kernel._self_sum_and_embedding(cfg, X, w, threads=t) for t in (1, 2, 4)]
+    s, g = got[0]
+    np.testing.assert_allclose(g, dense, rtol=1e-13, atol=0)
+    assert s == weighted_gram_sum(cfg, X, w, X, w)
+    for s_t, g_t in got[1:]:
+        assert s_t == s and g_t.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("unit", [True, False])
 def test_equal_content_cross_sum_is_bit_identical_to_self_sum(unit):
     rng = np.random.default_rng(14)
     X = rng.normal(size=(300, 2))

@@ -12,6 +12,9 @@ from distval import (
     DiscretePmf,
     InputError,
     KernelConfig,
+    MixtureWeights,
+    build_mixture_reference,
+    build_uniform_reference,
     median_heuristic,
     mmd2_unbiased,
     mmd_biased,
@@ -19,7 +22,10 @@ from distval import (
     random_huber_population,
     realized_pmf,
     sample_huber,
+    value_dataset,
 )
+from distval.kernel import weighted_gram_sum
+from distval.mmd import _sums
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -71,6 +77,49 @@ def test_biased_symmetry():
 def test_biased_rejects_dimension_mismatch():
     with pytest.raises(InputError):
         mmd_biased(CFG, ds([0.0]), Dataset("b", np.zeros((2, 2))))
+
+
+def _lookup_case(case):
+    """Vendors and a reference sample that holds all, some or none of their rows."""
+    rng = np.random.default_rng(31)
+    if case == "signed-zero":
+        v = rng.normal(size=(40, 2))
+        v[:10, 0] = -0.0
+        v[5:15, 1] = -0.0
+        # the reference holds the same rows with +0.0, plus rows of its own
+        ref = Dataset("r", np.concatenate([v + 0.0, rng.normal(size=(30, 2))]))
+        return [Dataset("v", v)], ref
+    vendors = [Dataset(f"v{i}", rng.normal(i, 1.0, size=(40, 2))) for i in range(3)]
+    if case == "mixture":
+        # rows drawn with replacement: some of each vendor's rows are absent
+        ref = build_mixture_reference(vendors, MixtureWeights([0.5, 0.3, 0.2]), 60, seed=4)
+        return vendors, ref.data
+    return vendors, Dataset("gt", rng.normal(size=(90, 2)))
+
+
+@pytest.mark.parametrize("case", ["mixture", "ground-truth", "signed-zero"])
+def test_lookup_cross_sum_agrees_with_the_direct_sum(case):
+    vendors, ref = _lookup_case(case)
+    found = np.concatenate([ref._find(d.atoms[0]) >= 0 for d in vendors])
+    share = {"mixture": (0.2, 0.8), "ground-truth": (0.0, 0.0), "signed-zero": (1.0, 1.0)}[case]
+    assert share[0] <= found.mean() <= share[1]
+    for d in vendors:
+        for A, B in ((d, ref), (ref, d)):
+            direct = weighted_gram_sum(CFG, *A.atoms, *B.atoms)
+            got = _sums(CFG, A, B)[2]
+            assert got == pytest.approx(direct, rel=1e-13)
+            if case == "ground-truth":
+                assert got == direct  # no row found: the direct sum itself
+
+
+def test_equal_inputs_and_a_one_vendor_uniform_reference_give_exactly_zero():
+    rng = np.random.default_rng(32)
+    for pts in (rng.normal(size=(50, 3)), rng.integers(0, 3, size=(50, 2))):
+        v = Dataset("v", pts)
+        assert mmd_biased(CFG, v, Dataset("w", pts[::-1])) == 0.0
+        ref = build_uniform_reference([v], seed=3)
+        assert value_dataset(CFG, v, ref) == 0.0
+        assert mmd_biased(CFG, ref.data, v) == 0.0
 
 
 def test_u_stat_identical_constant_samples():

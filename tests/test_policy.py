@@ -13,6 +13,7 @@ from distval import (
     Reference,
     ReferenceKind,
     Verdict,
+    build_uniform_reference,
     compare,
     confidence_delta,
     criterion_margin_gt,
@@ -20,6 +21,7 @@ from distval import (
     rank_vendors,
     sample_huber,
 )
+from distval import kernel
 from distval.data import DiscretePmf
 
 CFG = KernelConfig(sigma=1.0)
@@ -236,19 +238,19 @@ def test_report_json_is_strict():
 
 
 def _count_self_sums(monkeypatch, data):
-    """Counts weighted Gram sums of `data`'s atoms against themselves."""
+    """Counts self-sum passes over `data`'s atoms."""
     import distval.mmd
 
     rows = data.atoms[0]
     calls = []
-    real = distval.mmd.weighted_gram_sum
+    real = distval.mmd._self_sum_and_embedding
 
-    def counting(cfg, X, wx, Y, wy, threads=None):
-        if X is rows and Y is rows:
+    def counting(cfg, X, w, threads=None):
+        if X is rows:
             calls.append(1)
-        return real(cfg, X, wx, Y, wy, threads)
+        return real(cfg, X, w, threads)
 
-    monkeypatch.setattr(distval.mmd, "weighted_gram_sum", counting)
+    monkeypatch.setattr(distval.mmd, "_self_sum_and_embedding", counting)
     return calls
 
 
@@ -270,3 +272,36 @@ def test_compare_computes_reference_self_sum_once(monkeypatch):
     compare(CFG, PolicyParams(0.0, 0.1), a, b, ref)
     compare(CFG, PolicyParams(0.0, 0.1), b, a, ref)
     assert len(calls) == 1
+
+
+def _triangle_entries(m, block_entries):
+    # the symmetric block plan: row blocks of block_entries // m rows, each
+    # evaluated from its first row to the last column
+    rows = max(1, block_entries // m)
+    return sum((min(lo + rows, m) - lo) * (m - lo) for lo in range(0, m, rows))
+
+
+@pytest.mark.parametrize("reference", ["uniform", "ground_truth"])
+def test_rank_kernel_entries_match_the_block_plan(monkeypatch, reference):
+    rng = np.random.default_rng(23)
+    vendors = [Dataset(f"v{i}", rng.normal(i, 1.0, size=(40, 2))) for i in range(5)]
+    if reference == "uniform":
+        # every vendor row is in the reference: one 200-row triangle, five
+        # 40-row triangles, and no cross blocks
+        ref = build_uniform_reference(vendors, seed=5)
+        expected = _triangle_entries(200, 1000) + 5 * _triangle_entries(40, 1000)
+    else:
+        # no vendor row is in the reference: five full 40 x 150 cross sums
+        ref = _gt_ref(Dataset("gt", rng.normal(size=(150, 2))))
+        expected = _triangle_entries(150, 1000) + 5 * (_triangle_entries(40, 1000) + 40 * 150)
+    entries = []
+    real = kernel._gram_block
+
+    def counting(cfg, X, xx, Y, yy, out):
+        entries.append(out.size)
+        return real(cfg, X, xx, Y, yy, out)
+
+    monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 1000)
+    monkeypatch.setattr(kernel, "_gram_block", counting)
+    rank_vendors(CFG, vendors, ref)
+    assert sum(entries) == expected
