@@ -2,16 +2,19 @@
 
 The O(m^2) kernel sums here are the hot path of every distance computation.
 `weighted_gram_sum` streams the Gram matrix in row blocks of about 2 MB, so
-a block stays in cache: each block fills one buffer in place with the
-squared distances, then the kernel values, then their weighted row sums.
-A self-sum (both sides equal by content) evaluates only the upper triangle,
-since K(X, X) is symmetric with a unit diagonal; the same pass also gives
-the kernel mean embedding K(X, X) w from the triangle's row and column sums.
-Coordinates are centred on the pooled mean first, so the expanded-quadratic
-distances keep their precision far from the origin. Results are identical for any worker count:
-the blocks depend only on the input sizes, each row is reduced on its own,
-the column sums are added in block order on the calling thread, and the
-weighted per-row sums are combined exactly in index order.
+a block stays in cache. The rows are lifted first (`_lifted`): centred on
+the pooled mean, divided by sigma and given two extra columns, so that one
+matrix product fills a block's buffer with the whole RBF exponent
+-||x - y||^2 / (2 sigma^2). A block then takes three passes over its buffer
+(the product, a clip at 0 and `exp`) before its weighted row sums. The
+centring keeps the expanded quadratic from cancelling away the precision of
+points far from the origin. A self-sum (both sides equal by content)
+evaluates only the upper triangle, since K(X, X) is symmetric with a unit
+diagonal; the same pass also gives the kernel mean embedding K(X, X) w from
+the triangle's row and column sums. Results are identical for any worker
+count: the blocks depend only on the input sizes, each row is reduced on its
+own, the column sums are added in block order on the calling thread, and
+the weighted per-row sums are combined exactly in index order.
 """
 from __future__ import annotations
 
@@ -30,6 +33,10 @@ from .errors import InputError
 
 # Rows per block are sized so a block of the Gram matrix stays ~2 MB.
 _BLOCK_ENTRIES = 262_144
+
+# The largest half squared norm a lifted row may have: it keeps every partial
+# sum of a lifted product within 2^1023, half the float64 range.
+_LIFT_MAX = 2.0**1021
 
 # Rows the bandwidth heuristic subsamples (with seed 0) from a larger pool.
 _MEDIAN_CAP = 1000
@@ -76,19 +83,17 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _centered(X: np.ndarray, Y: np.ndarray):
-    """X and Y less their pooled mean, each with its rows' squared norms.
+    """X and Y less their pooled mean.
 
     The shift leaves every distance unchanged, and it keeps the expanded
-    quadratic in _sq_dists from cancelling away the precision of points far
-    from the origin.
+    quadratic from cancelling away the precision of points far from the
+    origin.
     """
     if Y is X:
         Xc = X - X.mean(axis=0)
-        xx = _sq_norms(Xc)
-        return Xc, xx, Xc, xx
+        return Xc, Xc
     c = (X.sum(axis=0) + Y.sum(axis=0)) / (X.shape[0] + Y.shape[0])
-    Xc, Yc = X - c, Y - c
-    return Xc, _sq_norms(Xc), Yc, _sq_norms(Yc)
+    return X - c, Y - c
 
 
 def _sq_dists(X, xx, Y, yy, out: np.ndarray) -> np.ndarray:
@@ -101,15 +106,45 @@ def _sq_dists(X, xx, Y, yy, out: np.ndarray) -> np.ndarray:
     return np.maximum(out, 0.0, out=out)
 
 
-def _gram_block(cfg: KernelConfig, X, xx, Y, yy, out: np.ndarray) -> np.ndarray:
-    _sq_dists(X, xx, Y, yy, out)
-    out *= -1.0 / (2.0 * cfg.sigma**2)
+def _lifted(cfg: KernelConfig, X: np.ndarray, Y: np.ndarray):
+    """Rows of X and Y lifted so that A @ B.T = -||x - y||^2 / (2 sigma^2).
+
+    With x and y centred on the pooled mean and divided by sigma, the lifted
+    row of x is a = [x, -|x|^2 / 2, 1] and that of y is b = [y, 1, -|y|^2 / 2],
+    so one matrix product gives a block's whole exponent. Every partial sum
+    of a . b is at most |x|^2 + |y|^2 in magnitude, so each row's |x|^2 / 2 is
+    held to _LIFT_MAX, which keeps the product clear of overflow; a row
+    further than 2^511 sigma from the mean raises InputError instead.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        Xc, Yc = _centered(X, Y)
+        Xs = Xc / cfg.sigma
+        Ys = Xs if Yc is Xc else Yc / cfg.sigma
+        hx = -0.5 * _sq_norms(Xs)
+        hy = hx if Ys is Xs else -0.5 * _sq_norms(Ys)
+    # False for NaN, so an overflow anywhere above is caught here too.
+    if not ((hx >= -_LIFT_MAX).all() and (hy >= -_LIFT_MAX).all()):
+        raise InputError(
+            "kernel: the data's spread overflows float64 at this bandwidth: a row lies"
+            f" more than 2^511 sigma (about 6.7e153 sigma) from the pooled mean, with"
+            f" sigma = {cfg.sigma!r}; rescale the data or pass a larger sigma"
+        )
+    A = np.column_stack((Xs, hx, np.ones_like(hx)))
+    B = np.column_stack((Ys, np.ones_like(hy), hy))
+    return A, B
+
+
+def _gram_block(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # The exponent in place in `out`, clipped at 0 since cancellation can
+    # leave tiny positives for near-identical points, then the kernel values.
+    np.matmul(A, B.T, out=out)
+    np.minimum(out, 0.0, out=out)
     return np.exp(out, out=out)
 
 
 def gram_matrix(cfg: KernelConfig, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Full kernel matrix between the rows of X and Y."""
-    return _gram_block(cfg, *_centered(X, Y), np.empty((X.shape[0], Y.shape[0])))
+    return _gram_block(*_lifted(cfg, X, Y), np.empty((X.shape[0], Y.shape[0])))
 
 
 def kernel_eval(cfg: KernelConfig, x, y) -> float:
@@ -154,7 +189,7 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
     """
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
-    Xc, xx, Yc, yy = _centered(X, X if symmetric else Y)
+    A, B = _lifted(cfg, X, X if symmetric else Y)
     m, n = X.shape[0], Y.shape[0]
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
     # Multiplying by 1.0 is exact, so skipping it changes no bit.
@@ -167,7 +202,7 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
     def block(lo: int, hi: int):
         c0 = lo if symmetric else 0
         buf = np.empty((hi - lo, n - c0))
-        _gram_block(cfg, Xc[lo:hi], xx[lo:hi], Yc[c0:], yy[c0:], buf)
+        _gram_block(A[lo:hi], B[c0:], buf)
         cols = None
         if symmetric:
             buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
@@ -243,19 +278,34 @@ def median_heuristic(pooled: Dataset) -> float:
 
     Subsamples min(1000, m) points without replacement, so the bandwidth is
     reproducible and the O(m^2) distance scan stays bounded. Raises when the
-    median is 0 (more than half the pairs coincide); supply sigma explicitly
-    in that case.
+    median is 0 (more than half the pairs coincide), or when the squared
+    distances overflow float64; supply sigma explicitly, or rescale the data,
+    in those cases.
     """
     pts = pooled.points
-    if pts.shape[0] < 2:
+    n = pts.shape[0]
+    if n < 2:
         raise InputError("median_heuristic: need at least 2 pooled points")
-    if pts.shape[0] > _MEDIAN_CAP:
+    if n > _MEDIAN_CAP:
         rng = np.random.default_rng(0)
-        pts = pts[rng.permutation(pts.shape[0])[:_MEDIAN_CAP]]
-    c, cc = _centered(pts, pts)[:2]
-    d2 = _sq_dists(c, cc, c, cc, np.empty((pts.shape[0], pts.shape[0])))
-    iu = np.triu_indices(pts.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+        pts = pts[rng.permutation(n)[:_MEDIAN_CAP]]
+        n = _MEDIAN_CAP
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = _centered(pts, pts)[0]
+        cc = _sq_norms(c)
+        d2 = _sq_dists(c, cc, c, cc, np.empty((n, n)))
+    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
+    # An overflow above leaves an inf or a NaN among the pairs; max keeps NaN.
+    if not pairs.max() < math.inf:
+        raise InputError(
+            "median_heuristic: the data's spread overflows float64 (squared pairwise"
+            " distances above about 1.8e308); rescale the data"
+        )
+    # sqrt is monotone, so the median of the distances is the sqrt of the
+    # middle squared distance (the mean of the two middle ones for an even count).
+    half = len(pairs) // 2
+    mid = [half] if len(pairs) % 2 else [half - 1, half]
+    med = float(np.mean(np.sqrt(np.partition(pairs, mid)[mid])))
     if med <= 0.0:
         raise InputError(
             "median_heuristic: the median pairwise distance is 0 (more than half"

@@ -629,3 +629,35 @@ def test_compare_rejects_non_finite_policy_flags(tmp_path, vendor_files, capsys,
     assert main(["compare", "--config", str(cfg), "--eps-bias", "0.1", flag, bad]) == 1
     name = flag[2:].replace("-", "_")
     assert f"error: policy: {name} must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "sigma, message",
+    [
+        # once a NaN value and a JSON ValueError traceback
+        (1.0, "error: kernel: the data's spread overflows float64 at this bandwidth"),
+        # once "sigma must be positive and finite, ... got nan"
+        ("auto", "error: median_heuristic: the data's spread overflows float64"),
+    ],
+)
+def test_value_with_overflowing_spread_is_an_input_error(tmp_path, capsys, sigma, message):
+    rng = np.random.default_rng(2)
+    paths = []
+    for name in ("a", "b"):
+        p = tmp_path / f"{name}.csv"
+        write_csv(p, (rng.uniform(-1.0, 1.0, size=(10, 8)) * 3e154).tolist())
+        paths.append(p)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "manifest": {"dim": 8, "vendors": [{"id": p.stem, "path": str(p)} for p in paths]},
+                "kernel": {"sigma": sigma},
+                "reference": {"kind": "uniform"},
+            }
+        )
+    )
+    assert main(["value", "--config", str(cfg), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.strip().splitlines()[-1].startswith(message)

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distval import Dataset, InputError, KernelConfig, gram_sum, kernel_eval, median_heuristic
+from distval import (
+    Dataset,
+    InputError,
+    KernelConfig,
+    gram_sum,
+    kernel_eval,
+    median_heuristic,
+    mmd_biased,
+)
 from distval import kernel
 from distval.kernel import weighted_gram_sum
 
@@ -146,6 +155,41 @@ def test_median_heuristic_capped_and_deterministic():
     assert a == pytest.approx(np.median(dists[np.triu_indices(1000, k=1)]), rel=1e-12)
 
 
+def _median_of_every_pair(pts):
+    # the formula median_heuristic replaced: every pair's distance, then np.median
+    if pts.shape[0] > kernel._MEDIAN_CAP:
+        pts = pts[np.random.default_rng(0).permutation(pts.shape[0])[: kernel._MEDIAN_CAP]]
+    n = pts.shape[0]
+    c = kernel._centered(pts, pts)[0]
+    cc = kernel._sq_norms(c)
+    d2 = kernel._sq_dists(c, cc, c, cc, np.empty((n, n)))
+    return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+
+
+@st.composite
+def _pools(draw):
+    # lattice pools are tie-heavy; sizes reach past the 1,000-row cap
+    n = draw(st.one_of(st.integers(2, 60), st.integers(995, 1200)))
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, draw(st.integers(1, 4)), size=(n, d)).astype(float)
+    else:
+        pts = rng.normal(size=(n, d)) * 10.0 ** draw(st.integers(-3, 3))
+    return pts + draw(st.sampled_from([0.0, 1e8]))
+
+
+@given(_pools())
+@settings(max_examples=40, deadline=None)
+def test_median_heuristic_is_bit_identical_to_the_median_of_every_pair(pts):
+    expected = _median_of_every_pair(pts)
+    if expected <= 0.0:
+        with pytest.raises(InputError, match="median pairwise distance is 0"):
+            median_heuristic(Dataset("p", pts))
+    else:
+        assert median_heuristic(Dataset("p", pts)) == expected
+
+
 def test_threads_env_fallback():
     with pytest.raises(InputError, match="threads must be >= 1"):
         gram_sum(CFG, ds([0.0]), ds([1.0]), threads=0)
@@ -201,9 +245,11 @@ def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
     # a small block size gives many blocks, each adding its column sums
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
         got = [kernel._self_sum_and_embedding(cfg, X, w, threads=t) for t in (1, 2, 4)]
+        # the same block plan: bits depend on the block size, not the route
+        self_sum = weighted_gram_sum(cfg, X, w, X, w)
     s, g = got[0]
     np.testing.assert_allclose(g, dense, rtol=1e-13, atol=0)
-    assert s == weighted_gram_sum(cfg, X, w, X, w)
+    assert s == self_sum
     for s_t, g_t in got[1:]:
         assert s_t == s and g_t.tobytes() == g.tobytes()
 
@@ -295,3 +341,100 @@ def test_forked_child_does_not_reuse_the_parents_pool():
         if child.is_alive():
             child.kill()
             child.join()
+
+
+@given(
+    st.integers(1, 3),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, 1e8]),
+)
+@settings(max_examples=200, deadline=None)
+def test_gram_matrix_matches_kernel_eval_property(d, m, n, seed, log_sigma, shift):
+    # unit-scale rows, one duplicate and one near-duplicate, shifted far from the origin
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(-1.0, 1.0, size=(m, d))
+    Y = rng.uniform(-1.0, 1.0, size=(n, d))
+    Y[0] = X[-1]
+    Y[-1] = X[0] + rng.normal(size=d) * 1e-3
+    X, Y = X + shift, Y + shift
+    cfg = KernelConfig(sigma=10.0**log_sigma)
+    got = kernel.gram_matrix(cfg, X, Y)
+    expected = np.array([[kernel_eval(cfg, x, y) for y in Y] for x in X])
+    assert ((got >= 0.0) & (got <= 1.0)).all()
+    # The exponent comes from an expanded quadratic, whose rounding grows with
+    # the squared spread in bandwidths, (R / sigma)^2: about 1e-10 at sigma = R / 1000.
+    c = (X.sum(axis=0) + Y.sum(axis=0)) / (m + n)
+    r2 = max(kernel._sq_norms(X - c).max(), kernel._sq_norms(Y - c).max()) / cfg.sigma**2
+    tol = 1e-13 + 2.0 * (d + 8) * np.finfo(float).eps * r2
+    np.testing.assert_allclose(got, expected, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("scale, sigma", [(1.0, 1e-150), (1e150, 1.0)])
+def test_extreme_scale_ratios_give_no_runtime_warning(scale, sigma):
+    # distinct rows 1e150 bandwidths apart: every off-diagonal kernel entry is 0
+    rng = np.random.default_rng(20)
+    a = Dataset("a", rng.normal(size=(30, 3)) * scale)
+    b = Dataset("b", rng.normal(size=(20, 3)) * scale)
+    cfg = KernelConfig(sigma=sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = kernel.gram_matrix(cfg, a.points, b.points)
+        assert (G == 0.0).all()
+        got = mmd_biased(cfg, a, b, threads=2)
+        assert got == pytest.approx(math.sqrt(1 / 30 + 1 / 20), rel=1e-14)
+        assert median_heuristic(a) > 0.0
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0**-300])
+def test_overflow_boundary_of_the_lifted_rows(sigma):
+    # A lifted row's |x_c / sigma|^2 / 2 may be at most 2^1021, that is,
+    # |x_c| <= 2^511 sigma. Rows -a and a have pooled mean exactly 0, and
+    # a / sigma is exact.
+    cfg = KernelConfig(sigma=sigma)
+    inside = 2.0**511 * sigma
+    outside = np.nextafter(inside, math.inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = kernel.gram_matrix(cfg, np.array([[-inside]]), np.array([[inside]]))
+        assert G.tolist() == [[0.0]]
+        got = mmd_biased(cfg, Dataset("a", [[-inside]]), Dataset("b", [[inside]]))
+        assert got == math.sqrt(2.0)
+        X, Y = np.array([[-outside]]), np.array([[outside]])
+        with pytest.raises(InputError, match="spread overflows float64 at this bandwidth"):
+            kernel.gram_matrix(cfg, X, Y)
+        with pytest.raises(InputError, match="spread overflows float64 at this bandwidth"):
+            weighted_gram_sum(cfg, X, np.ones(1), Y, np.ones(1))
+
+
+def test_spread_overflow_is_an_input_error_not_a_nan():
+    # finite points about 3e154 apart: their squared distances overflow float64
+    rng = np.random.default_rng(21)
+    a = Dataset("a", rng.uniform(-1.0, 1.0, size=(20, 8)) * 3e154)
+    b = Dataset("b", rng.uniform(-1.0, 1.0, size=(20, 8)) * 3e154)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="spread overflows float64 at this bandwidth"):
+            mmd_biased(CFG, a, b)
+        with pytest.raises(InputError, match="spread overflows float64"):
+            median_heuristic(a)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_lifted_blocks_bit_identical_across_threads(symmetric):
+    # far-off-origin rows, non-unit weights and many small blocks
+    rng = np.random.default_rng(22)
+    cfg = KernelConfig(sigma=0.7)
+    X, wx = rng.normal(size=(200, 5)) + 1e8, rng.uniform(0.5, 2.0, size=200)
+    Y, wy = X, wx
+    if not symmetric:
+        Y, wy = rng.normal(size=(170, 5)) + 1e8, rng.uniform(0.5, 2.0, size=170)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 2000):
+        if symmetric:
+            got = [kernel._self_sum_and_embedding(cfg, X, wx, threads=t) for t in (1, 2, 4)]
+            got = [(s, g.tobytes()) for s, g in got]
+        else:
+            got = [weighted_gram_sum(cfg, X, wx, Y, wy, threads=t) for t in (1, 2, 4)]
+    assert got[0] == got[1] == got[2]
