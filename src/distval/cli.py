@@ -18,20 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._schema import (
+    BOOLEAN,
+    COUNT,
+    INTEGER,
+    INTEGERS,
+    NUMBER,
+    NUMBERS,
+    SEED,
+    Section,
+    is_number,
+    one_of,
+)
 from .data import Dataset
 from .errors import InputError, PropertyViolation
 from .experiments import (
-    _BOOLEAN,
-    _COUNT,
-    _INTEGER,
-    _INTEGERS,
-    _NUMBER,
-    _NUMBERS,
-    _SEED,
     ExperimentConfig,
     ExperimentName,
-    _is_number,
-    _one_of,
     run,
     write_csv,
     write_curve_csvs,
@@ -176,51 +179,17 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-# What `_Section.get` accepts, besides the kinds imported above: the JSON
+# What `Section.get` accepts, besides the kinds imported above: the JSON
 # type its error names, and the test.
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
 _LIST = ("a list", lambda v: isinstance(v, list))
-_SIGMA = ('a number or "auto"', lambda v: v == "auto" or _is_number(v))
-_REQUIRED = object()
+_SIGMA = ('a number or "auto"', lambda v: v == "auto" or is_number(v))
 
 
-class _Section:
-    """One object of the run config, named by its path (`manifest.vendors[0]`).
-
-    A key outside `keys` is an input error. `get` checks a value's JSON type
-    and returns it as written: no config value is coerced.
-    """
-
-    def __init__(self, obj, where: str, keys: tuple[str, ...]):
-        if not isinstance(obj, dict):
-            raise InputError(f"config: {where} must be an object, got {json.dumps(obj)}")
-        for key in obj:
-            if key not in keys:
-                raise InputError(
-                    f"config: {where}.{key} is not a known key;"
-                    f" {where} takes only {', '.join(keys)}"
-                )
-        self.obj = obj
-        self.where = where
-
-    def get(self, key: str, kind: tuple, default=_REQUIRED):
-        """`key`'s value if it has the JSON type `kind`; `default` when the key
-        is absent, or null where the default is None."""
-        if key not in self.obj or (self.obj[key] is None and default is None):
-            if default is _REQUIRED:
-                raise InputError(f"config: {self.where}.{key} is required")
-            return default
-        value = self.obj[key]
-        what, test = kind
-        if not test(value):
-            raise InputError(f"config: {self.where}.{key} must be {what}, got {json.dumps(value)}")
-        return value
-
-
-def _section(cfg: dict, name: str, keys: tuple[str, ...]) -> _Section:
+def _section(cfg: dict, name: str, keys: tuple[str, ...]) -> Section:
     """The config's top-level `name` object (empty when absent)."""
-    return _Section(cfg.get(name, {}), name, keys)
+    return Section(cfg.get(name, {}), name, keys)
 
 
 def _flag_or(flag, value):
@@ -232,13 +201,13 @@ def _manifest_from_config(cfg: dict) -> VendorManifest:
     m = _section(cfg, "manifest", ("dim", "has_header", "vendors", "ground_truth"))
     entries = []
     for i, obj in enumerate(m.get("vendors", _LIST)):
-        vendor = _Section(obj, f"manifest.vendors[{i}]", ("id", "path"))
+        vendor = Section(obj, f"manifest.vendors[{i}]", ("id", "path"))
         entries.append((vendor.get("id", _STRING), vendor.get("path", _STRING)))
     return VendorManifest(
         entries=entries,
-        dim=m.get("dim", _INTEGER),
+        dim=m.get("dim", INTEGER),
         ground_truth=m.get("ground_truth", _STRING, None),
-        has_header=m.get("has_header", _BOOLEAN, False),
+        has_header=m.get("has_header", BOOLEAN, False),
     )
 
 
@@ -262,9 +231,9 @@ def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfi
 
 def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
     sec = _section(cfg, "reference", ("kind", "weights", "total"))
-    kind = ReferenceKind(sec.get("kind", _one_of(ReferenceKind), "uniform"))
-    weights = sec.get("weights", _NUMBERS, None)
-    total = sec.get("total", _INTEGER, None)
+    kind = ReferenceKind(sec.get("kind", one_of(ReferenceKind), "uniform"))
+    weights = sec.get("weights", NUMBERS, None)
+    total = sec.get("total", INTEGER, None)
     if kind is ReferenceKind.GROUND_TRUTH:
         if gt is None:
             raise InputError("reference kind 'ground_truth' needs manifest.ground_truth")
@@ -282,8 +251,8 @@ def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
 
 def _policy_from(cfg: dict, args) -> PolicyParams:
     pol = _section(cfg, "policy", ("eps_bias", "eps_upsilon"))
-    eps_bias = _flag_or(args.eps_bias, pol.get("eps_bias", _NUMBER, None))
-    eps_upsilon = _flag_or(args.eps_upsilon, pol.get("eps_upsilon", _NUMBER, 0.0))
+    eps_bias = _flag_or(args.eps_bias, pol.get("eps_bias", NUMBER, None))
+    eps_upsilon = _flag_or(args.eps_upsilon, pol.get("eps_upsilon", NUMBER, 0.0))
     if eps_bias is None:
         raise InputError("eps_bias is required (config policy.eps_bias or --eps-bias)")
     return PolicyParams(eps_upsilon=eps_upsilon, eps_bias=eps_bias)
@@ -348,9 +317,9 @@ def cmd_compare(cfg: dict, args) -> int:
     params = _policy_from(cfg, args)
     cmp_cfg = _section(cfg, "compare", ("left", "right", "huber_gap"))
     by_id = {d.id: d for d in datasets}
-    vendor_id = _one_of(by_id)
+    vendor_id = one_of(by_id)
     left, right = (by_id[cmp_cfg.get(side, vendor_id)] for side in ("left", "right"))
-    huber_gap = cmp_cfg.get("huber_gap", _NUMBER, None)
+    huber_gap = cmp_cfg.get("huber_gap", NUMBER, None)
     report = compare(kernel, params, left, right, ref, huber_gap=huber_gap, threads=args.threads)
     resolved = _provenance(
         args, kernel, ref=ref.kind.value,
@@ -367,10 +336,10 @@ def cmd_compare(cfg: dict, args) -> int:
 
 def cmd_experiment(cfg: dict, args) -> int:
     exp = _section(cfg, "experiment", ("name", "n", "trials", "seed", "extra"))
-    name = ExperimentName(exp.get("name", _one_of(ExperimentName)))
-    n = exp.get("n", _INTEGER, 1)
-    trials = exp.get("trials", _INTEGER, 1)
-    seed = _flag_or(args.seed, exp.get("seed", _SEED, None))
+    name = ExperimentName(exp.get("name", one_of(ExperimentName)))
+    n = exp.get("n", INTEGER, 1)
+    trials = exp.get("trials", INTEGER, 1)
+    seed = _flag_or(args.seed, exp.get("seed", SEED, None))
     # ExperimentConfig checks each extra key and value
     extra = exp.get("extra", _OBJECT, {})
     if seed is None:
@@ -395,9 +364,9 @@ def cmd_experiment(cfg: dict, args) -> int:
 
 def cmd_verify_game(cfg: dict, args) -> int:
     game_cfg = _section(cfg, "game", ("distances", "n_values", "trials"))
-    distances = game_cfg.get("distances", _NUMBERS, None)
-    n_values = game_cfg.get("n_values", _INTEGERS, [2, 3, 4, 5])
-    trials = game_cfg.get("trials", _COUNT, 100)
+    distances = game_cfg.get("distances", NUMBERS, None)
+    n_values = game_cfg.get("n_values", INTEGERS, [2, 3, 4, 5])
+    trials = game_cfg.get("trials", COUNT, 100)
     reports = []
     if distances is not None:
         reports.append(verify_minmax(build_game(distances)))
@@ -476,7 +445,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.seed is not None and args.seed < 0:
-            raise InputError(f"--seed must be {_SEED[0]}, got {args.seed}")
+            raise InputError(f"--seed must be {SEED[0]}, got {args.seed}")
         cfg = _load_config(args.config)
         print(
             f"distval {args.command}: seed={args.seed} config={args.config}",

@@ -18,6 +18,18 @@ from typing import Any
 
 import numpy as np
 
+from ._schema import (
+    BOOLEAN,
+    COUNT,
+    INTEGER,
+    INTEGERS,
+    NUMBER,
+    SEED,
+    Section,
+    is_number,
+    nonempty_list_of,
+    one_of,
+)
 from ._version import __version__ as _code_version
 from .data import Dataset, DiscretePmf
 from .errors import InputError, UndefinedCorrelationError
@@ -51,107 +63,63 @@ class ExperimentName(str, Enum):
     GAME_VERIFY = "game_verify"
 
 
-_EXTRA_DEFAULTS: dict[ExperimentName, dict[str, Any]] = {
-    ExperimentName.CORRELATION: {"support_max": 10, "eps_max": 0.5},
-    ExperimentName.CONVERGENCE: {
-        "support_max": 10,
-        "eps_max": 0.5,
-        "eps_scheme": "random",
-        "shared_outlier": False,
-        "fractions": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0],
-        "m_full": 1000,
-        "m_star": 4000,
-    },
-    ExperimentName.POLICY_SOUNDNESS: {
-        "reference": "ground_truth",
-        "m": 1000,
-        "m_star": 1000,
-        "eps_bias": 0.1,
-        "eps_upsilon": 0.0,
-        "separated_eps_lo": 0.4,
-        "separated_eps_hi": 0.5,
-        # point-mass base vs point-mass outlier this far away: near-maximal
-        # distance, so separated pairs actually clear the criterion margin
-        "outlier_shift": 5.0,
-        # the uniform-mixture variant draws its reference from this many
-        # lightly contaminated marketplace vendors (the compared pair is not
-        # part of the mixture, so the mixture cannot hide their gap)
-        "ref_vendors": 3,
-        "ref_eps_max": 0.1,
-        "ref_m": 600,
-    },
-    ExperimentName.INCENTIVE_COMPAT: {
-        "mode": "empirical",
-        "support_max": 10,
-        "eps_max": 0.5,
-        "m": 600,
-        "m_star": 2400,
-        "noise_var": 0.2,
-        "misreporter": None,  # default: middle vendor n // 2
-    },
-    ExperimentName.GAME_VERIFY: {"n_values": [2, 3, 4, 5], "distance_scale": 1.0},
-}
-
-# The values of the string keys above; eps_scheme "spaced" sets eps_i = i/n.
-_EXTRA_CHOICES: dict[str, tuple[str, ...]] = {
-    "eps_scheme": ("random", "spaced"),
-    "reference": ("ground_truth", "uniform"),
-    "mode": ("empirical", "exact"),
-}
-
-
-def _is_integer(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    # finite and within float range: JSON has no NaN or infinity (json.load
-    # accepts both), and an int/float comparison is exact for any int
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-def _one_of(values) -> tuple:
-    values = list(values)
-    return "one of " + ", ".join(map(json.dumps, values)), lambda v: v in values
-
-
-def _nonempty_list_of(test):
-    # a sweep over no values would certify or average nothing
-    return lambda v: isinstance(v, list) and len(v) > 0 and all(map(test, v))
-
-
-# JSON kinds of config values: the type an error names, and the test.
-_NUMBER = ("a number", _is_number)
-_INTEGER = ("an integer", _is_integer)
-_COUNT = ("an integer >= 1", lambda v: _is_integer(v) and v >= 1)
-_SEED = ("an integer >= 0", lambda v: _is_integer(v) and v >= 0)
-_BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
-_NUMBERS = ("a nonempty list of numbers", _nonempty_list_of(_is_number))
-_INTEGERS = ("a nonempty list of integers", _nonempty_list_of(_is_integer))
 # Shares of m_full rows: above 1 would ask for rows there are not, and 0 or
 # less for none.
 _FRACTIONS = (
     "a nonempty list of numbers in (0, 1]",
-    _nonempty_list_of(lambda v: _is_number(v) and 0 < v <= 1),
+    nonempty_list_of(lambda v: is_number(v) and 0 < v <= 1),
 )
 
-
-def _extra_kind(key: str, default) -> tuple:
-    """The JSON kind of an extra value, read off its default."""
-    if key in _EXTRA_CHOICES:
-        return _one_of(_EXTRA_CHOICES[key])
-    if key == "fractions":
-        return _FRACTIONS
-    if isinstance(default, list):
-        return _INTEGERS if all(map(_is_integer, default)) else _NUMBERS
-    # an int default, or None for an optional index, takes an integer
-    return {bool: _BOOLEAN, float: _NUMBER}.get(type(default), _INTEGER)
+# Each runner's extras, key: (default, JSON kind).
+_EXTRA_DEFAULTS: dict[ExperimentName, dict[str, tuple[Any, tuple]]] = {
+    ExperimentName.CORRELATION: {"support_max": (10, INTEGER), "eps_max": (0.5, NUMBER)},
+    ExperimentName.CONVERGENCE: {
+        "support_max": (10, INTEGER),
+        "eps_max": (0.5, NUMBER),
+        "eps_scheme": ("random", one_of(("random", "spaced"))),  # "spaced": eps_i = i/n
+        "shared_outlier": (False, BOOLEAN),
+        "fractions": ([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0], _FRACTIONS),
+        "m_full": (1000, INTEGER),
+        "m_star": (4000, INTEGER),
+    },
+    ExperimentName.POLICY_SOUNDNESS: {
+        "reference": ("ground_truth", one_of(("ground_truth", "uniform"))),
+        "m": (1000, INTEGER),
+        "m_star": (1000, INTEGER),
+        "eps_bias": (0.1, NUMBER),
+        "eps_upsilon": (0.0, NUMBER),
+        "separated_eps_lo": (0.4, NUMBER),
+        "separated_eps_hi": (0.5, NUMBER),
+        # point-mass base vs point-mass outlier this far away: near-maximal
+        # distance, so separated pairs actually clear the criterion margin
+        "outlier_shift": (5.0, NUMBER),
+        # the uniform-mixture variant draws its reference from this many
+        # lightly contaminated marketplace vendors (the compared pair is not
+        # part of the mixture, so the mixture cannot hide their gap)
+        "ref_vendors": (3, COUNT),
+        "ref_eps_max": (0.1, NUMBER),
+        "ref_m": (600, INTEGER),
+    },
+    ExperimentName.INCENTIVE_COMPAT: {
+        "mode": ("empirical", one_of(("empirical", "exact"))),
+        "support_max": (10, INTEGER),
+        "eps_max": (0.5, NUMBER),
+        "m": (600, INTEGER),
+        "m_star": (2400, INTEGER),
+        "noise_var": (0.2, NUMBER),
+        "misreporter": (None, INTEGER),  # default: middle vendor n // 2
+    },
+    ExperimentName.GAME_VERIFY: {
+        "n_values": ([2, 3, 4, 5], INTEGERS),
+        "distance_scale": (1.0, NUMBER),
+    },
+}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One runner's settings. Each `extra` key must be one of the runner's
-    `_EXTRA_DEFAULTS` and hold a value of its default's JSON kind."""
+    `_EXTRA_DEFAULTS` and hold a value of its declared JSON kind."""
 
     name: ExperimentName
     n: int
@@ -161,28 +129,20 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (what, test) in (("n", _COUNT), ("trials", _COUNT), ("seed", _SEED)):
+        for key, (what, test) in (("n", COUNT), ("trials", COUNT), ("seed", SEED)):
             value = getattr(self, key)
             if not test(value):
                 raise InputError(f"experiment: {key} must be {what}, got {value!r}")
-        defaults = _EXTRA_DEFAULTS[self.name]
-        for key, value in self.extra.items():
-            if key not in defaults:
-                raise InputError(
-                    f"config: experiment.extra.{key} is not a known key;"
-                    f" experiment.extra takes only {', '.join(defaults)}"
-                )
-            default = defaults[key]
-            what, test = _extra_kind(key, default)
-            # null stands for the default only where the default is None
-            if not (test(value) or value is None and default is None):
-                got = json.dumps(value, default=repr)
-                raise InputError(f"config: experiment.extra.{key} must be {what}, got {got}")
+        extras = _EXTRA_DEFAULTS[self.name]
+        section = Section(self.extra, "experiment.extra", extras)
+        for key, (default, kind) in extras.items():
+            section.get(key, kind, default)
 
     def resolved_extra(self) -> dict:
-        out = dict(_EXTRA_DEFAULTS[self.name])
-        out.update(self.extra)
-        return out
+        return {
+            key: self.extra.get(key, default)
+            for key, (default, _) in _EXTRA_DEFAULTS[self.name].items()
+        }
 
 
 @dataclass(frozen=True)

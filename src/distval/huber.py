@@ -85,11 +85,7 @@ def _same_base(a, b) -> bool:
     if a is b:
         return True
     if isinstance(a, DiscretePmf) and isinstance(b, DiscretePmf):
-        return (
-            a.support.shape == b.support.shape
-            and np.array_equal(a.support, b.support)
-            and np.array_equal(a.probs, b.probs)
-        )
+        return np.array_equal(a.support, b.support) and np.array_equal(a.probs, b.probs)
     return False
 
 

@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -46,7 +45,10 @@ _MEDIAN_CAP = 1000
 # RBF kernel k(x, x) = 1 and every other entry lies in (0, 1], so K = 1.
 K_BOUND = 1.0
 
-# One reused pool per worker count, created on first use.
+# One reused pool per worker count, created on first use. A fresh executor
+# per sum starts its threads every time: that measured 5-41% slower on a
+# 10,000-row self-sum and 13-52% on a 2,000-row one (2 threads, BLAS at 1
+# thread).
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -164,22 +166,6 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _run_blocks(fn, spans: list[tuple[int, int]], threads: int, take=None) -> None:
-    """fn(lo, hi) for every span, on at most one worker per span; `take`, if
-    given, receives each span's lo and result on the calling thread, in span
-    order, and no result is kept once it has been taken."""
-    workers = min(threads, len(spans))
-    if workers <= 1:
-        results = (fn(lo, hi) for lo, hi in spans)
-    else:
-        pool = _pool(workers)
-        futures = deque(pool.submit(fn, lo, hi) for lo, hi in spans)
-        results = (futures.popleft().result() for _ in spans)
-    for (lo, _), out in zip(spans, results):
-        if take is not None:
-            take(lo, out)
-
-
 def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
     """Each row's weighted sum over the row blocks of K(X, Y).
 
@@ -212,11 +198,15 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
         buf.sum(axis=1, out=row_sums[lo:hi])
         return cols
 
-    def add_cols(lo: int, cols) -> None:
-        col_sums[lo:] += cols
-
-    spans = [(lo, min(lo + rows, m)) for lo in range(0, m, rows)]
-    _run_blocks(block, spans, threads, add_cols if symmetric else None)
+    los = range(0, m, rows)
+    his = [min(lo + rows, m) for lo in los]
+    # At most one worker per block. Executor.map yields the results in block
+    # order on the calling thread and drops each one once it is taken.
+    workers = min(threads, len(los))
+    results = map(block, los, his) if workers <= 1 else _pool(workers).map(block, los, his)
+    for lo, cols in zip(los, results):
+        if symmetric:
+            col_sums[lo:] += cols
     return row_sums, col_sums
 
 

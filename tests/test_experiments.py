@@ -28,7 +28,7 @@ from distval import (
     write_curve_csvs,
     write_rows_csv,
 )
-from distval.experiments import _trial_seeds
+from distval.experiments import _EXTRA_DEFAULTS, _trial_seeds
 
 K1 = KernelConfig(sigma=1.0)
 
@@ -57,16 +57,32 @@ def cfg(name, n, trials, seed, **extra):
         (ExperimentName.CONVERGENCE, "fractions", [2.0], r"must be .* numbers in \(0, 1\], got \[2.0\]"),
         (ExperimentName.CONVERGENCE, "fractions", [0.5, -0.5], "must be a nonempty list of numbers in"),
         (ExperimentName.CONVERGENCE, "fractions", [0.0, 1.0], "must be a nonempty list of numbers in"),
+        # once a ValueError from numpy's SeedSequence, and a late "need at least one dataset"
+        (ExperimentName.POLICY_SOUNDNESS, "ref_vendors", -5, "must be an integer >= 1, got -5"),
+        (ExperimentName.POLICY_SOUNDNESS, "ref_vendors", 0, "must be an integer >= 1, got 0"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
         "noise_var-inf", "fractions-tuple", "n_values-floats", "fractions-empty",
         "n_values-empty", "fractions-above-1", "fractions-negative", "fractions-zero",
+        "ref_vendors-negative", "ref_vendors-zero",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):
     with pytest.raises(InputError, match=f"^config: experiment.extra.{key} {error}"):
         cfg(name, 5, 1, 0, **{key: value})
+
+
+def test_config_rejects_extra_that_is_not_an_object():
+    # once an AttributeError
+    with pytest.raises(InputError, match=r"^config: experiment.extra must be an object, got \[1\]$"):
+        ExperimentConfig(ExperimentName.CORRELATION, n=5, trials=1, seed=0, kernel=K1, extra=[1])
+
+
+@pytest.mark.parametrize("name", list(ExperimentName))
+def test_every_extra_default_has_its_declared_kind(name):
+    for key, (default, (what, test)) in _EXTRA_DEFAULTS[name].items():
+        assert default is None or test(default), (key, what)
 
 
 def test_config_null_stands_for_a_none_default():
