@@ -10,6 +10,7 @@ import json
 import sys
 
 from .errors import InputError
+from .game import MAX_EXPLICIT_N
 
 
 def is_integer(v) -> bool:
@@ -35,10 +36,14 @@ def nonempty_list_of(test):
 NUMBER = ("a number", is_number)
 INTEGER = ("an integer", is_integer)
 COUNT = ("an integer >= 1", lambda v: is_integer(v) and v >= 1)
-SEED = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
+NONNEGATIVE = ("an integer >= 0", lambda v: is_integer(v) and v >= 0)
 BOOLEAN = ("true or false", lambda v: isinstance(v, bool))
 NUMBERS = ("a nonempty list of numbers", nonempty_list_of(is_number))
-INTEGERS = ("a nonempty list of integers", nonempty_list_of(is_integer))
+# vendor counts of a game `build_game` can materialise
+GAME_SIZES = (
+    f"a nonempty list of integers in [2, {MAX_EXPLICIT_N}]",
+    nonempty_list_of(lambda v: is_integer(v) and 2 <= v <= MAX_EXPLICIT_N),
+)
 
 REQUIRED = object()
 

@@ -21,11 +21,11 @@ import numpy as np
 from ._schema import (
     BOOLEAN,
     COUNT,
+    GAME_SIZES,
     INTEGER,
-    INTEGERS,
+    NONNEGATIVE,
     NUMBER,
     NUMBERS,
-    SEED,
     Section,
     is_number,
     one_of,
@@ -339,7 +339,7 @@ def cmd_experiment(cfg: dict, args) -> int:
     name = ExperimentName(exp.get("name", one_of(ExperimentName)))
     n = exp.get("n", INTEGER, 1)
     trials = exp.get("trials", INTEGER, 1)
-    seed = _flag_or(args.seed, exp.get("seed", SEED, None))
+    seed = _flag_or(args.seed, exp.get("seed", NONNEGATIVE, None))
     # ExperimentConfig checks each extra key and value
     extra = exp.get("extra", _OBJECT, {})
     if seed is None:
@@ -365,7 +365,7 @@ def cmd_experiment(cfg: dict, args) -> int:
 def cmd_verify_game(cfg: dict, args) -> int:
     game_cfg = _section(cfg, "game", ("distances", "n_values", "trials"))
     distances = game_cfg.get("distances", NUMBERS, None)
-    n_values = game_cfg.get("n_values", INTEGERS, [2, 3, 4, 5])
+    n_values = game_cfg.get("n_values", GAME_SIZES, [2, 3, 4, 5])
     trials = game_cfg.get("trials", COUNT, 100)
     reports = []
     if distances is not None:
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.seed is not None and args.seed < 0:
-            raise InputError(f"--seed must be {SEED[0]}, got {args.seed}")
+            raise InputError(f"--seed must be {NONNEGATIVE[0]}, got {args.seed}")
         cfg = _load_config(args.config)
         print(
             f"distval {args.command}: seed={args.seed} config={args.config}",

@@ -21,10 +21,10 @@ import numpy as np
 from ._schema import (
     BOOLEAN,
     COUNT,
+    GAME_SIZES,
     INTEGER,
-    INTEGERS,
+    NONNEGATIVE,
     NUMBER,
-    SEED,
     Section,
     is_number,
     nonempty_list_of,
@@ -70,50 +70,52 @@ _FRACTIONS = (
     nonempty_list_of(lambda v: is_number(v) and 0 < v <= 1),
 )
 
+# The bound of eps_i ~ U(0, eps_max): an eps must be below 1, and 0 contaminates nothing.
+_EPS_MAX = ("a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1)
+
 # Each runner's extras, key: (default, JSON kind).
 _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, tuple[Any, tuple]]] = {
-    ExperimentName.CORRELATION: {"support_max": (10, INTEGER), "eps_max": (0.5, NUMBER)},
+    ExperimentName.CORRELATION: {"support_max": (10, NONNEGATIVE), "eps_max": (0.5, _EPS_MAX)},
     ExperimentName.CONVERGENCE: {
-        "support_max": (10, INTEGER),
-        "eps_max": (0.5, NUMBER),
+        "support_max": (10, NONNEGATIVE),
+        "eps_max": (0.5, _EPS_MAX),
         "eps_scheme": ("random", one_of(("random", "spaced"))),  # "spaced": eps_i = i/n
         "shared_outlier": (False, BOOLEAN),
         "fractions": ([0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0], _FRACTIONS),
-        "m_full": (1000, INTEGER),
-        "m_star": (4000, INTEGER),
+        "m_full": (1000, COUNT),
+        "m_star": (4000, COUNT),
     },
     ExperimentName.POLICY_SOUNDNESS: {
         "reference": ("ground_truth", one_of(("ground_truth", "uniform"))),
-        "m": (1000, INTEGER),
-        "m_star": (1000, INTEGER),
+        "m": (1000, COUNT),
+        "m_star": (1000, COUNT),
         "eps_bias": (0.1, NUMBER),
         "eps_upsilon": (0.0, NUMBER),
-        "separated_eps_lo": (0.4, NUMBER),
-        "separated_eps_hi": (0.5, NUMBER),
-        # point-mass base vs point-mass outlier this far away: near-maximal
-        # distance, so separated pairs actually clear the criterion margin
-        "outlier_shift": (5.0, NUMBER),
         # the uniform-mixture variant draws its reference from this many
         # lightly contaminated marketplace vendors (the compared pair is not
         # part of the mixture, so the mixture cannot hide their gap)
         "ref_vendors": (3, COUNT),
-        "ref_eps_max": (0.1, NUMBER),
-        "ref_m": (600, INTEGER),
+        "ref_m": (600, COUNT),
     },
     ExperimentName.INCENTIVE_COMPAT: {
         "mode": ("empirical", one_of(("empirical", "exact"))),
-        "support_max": (10, INTEGER),
-        "eps_max": (0.5, NUMBER),
-        "m": (600, INTEGER),
-        "m_star": (2400, INTEGER),
-        "noise_var": (0.2, NUMBER),
+        "support_max": (10, NONNEGATIVE),
+        "eps_max": (0.5, _EPS_MAX),
+        "m": (600, COUNT),
+        "m_star": (2400, COUNT),
+        "noise_var": (0.2, ("a number > 0", lambda v: is_number(v) and v > 0)),
         "misreporter": (None, INTEGER),  # default: middle vendor n // 2
     },
-    ExperimentName.GAME_VERIFY: {
-        "n_values": ([2, 3, 4, 5], INTEGERS),
-        "distance_scale": (1.0, NUMBER),
-    },
+    ExperimentName.GAME_VERIFY: {"n_values": ([2, 3, 4, 5], GAME_SIZES)},
 }
+
+# Separated soundness pairs: a point-mass base against a point-mass outlier
+# this far away, mixed in at a level drawn from this range. The distance is
+# near-maximal, so separated pairs actually clear the criterion margin.
+_OUTLIER_SHIFT = 5.0
+_SEPARATED_EPS = (0.4, 0.5)
+# the contamination bound of the uniform-mixture variant's marketplace vendors
+_REF_EPS_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key, (what, test) in (("n", COUNT), ("trials", COUNT), ("seed", SEED)):
+        for key, (what, test) in (("n", COUNT), ("trials", COUNT), ("seed", NONNEGATIVE)):
             value = getattr(self, key)
             if not test(value):
                 raise InputError(f"experiment: {key} must be {what}, got {value!r}")
@@ -273,27 +275,22 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
 # convergence: sample-size sweep of the three ranking criteria
 
 
-def _population(cfg: ExperimentConfig, ex: dict, seed: int):
-    """Population for sweep experiments, honouring the eps scheme."""
-    n = cfg.n
-    if ex["eps_scheme"] == "random" and not ex["shared_outlier"]:
-        return random_huber_population(n, ex["support_max"], ex["eps_max"], seed)
+def _population(n: int, ex: dict, seed: int):
+    """Population for sweep experiments, honouring the eps scheme. The random
+    scheme with one outlier per vendor makes `random_huber_population`'s
+    draws, in its order."""
     rng = np.random.default_rng(seed)
     support = np.arange(ex["support_max"] + 1, dtype=float)[:, None]
     base = random_pmf(rng, support)
     if ex["eps_scheme"] == "spaced":
-        eps = np.array([i / n for i in range(n)])
+        eps = np.arange(n) / n
     else:
         eps = rng.uniform(0.0, ex["eps_max"], size=n)
     if ex["shared_outlier"]:
-        q = random_pmf(rng, support)
-        outliers = [q] * n
+        outliers = [random_pmf(rng, support)] * n
     else:
         outliers = [random_pmf(rng, support) for _ in range(n)]
-    specs = [
-        HuberSpec(epsilon=float(eps[i]), base=base, outlier=outliers[i]) for i in range(n)
-    ]
-    return base, specs
+    return base, [HuberSpec(float(e), base, q) for e, q in zip(eps, outliers)]
 
 
 def _values(kcfg: KernelConfig, datasets: list[Dataset], ref: Dataset) -> np.ndarray:
@@ -311,7 +308,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 2 + cfg.n)
-        base, specs = _population(cfg, ex, seeds[0])
+        base, specs = _population(cfg.n, ex, seeds[0])
         ref = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "ref")
         full = [sample_huber(specs[i], m_full, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
         vv_star = ValueVector(_values(cfg.kernel, full, ref), ids)
@@ -366,8 +363,8 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
         if separated:
             atom = float(rng.integers(0, 11))
             base = DiscretePmf(np.array([[atom]]), np.array([1.0]))
-            far = DiscretePmf(np.array([[atom + ex["outlier_shift"]]]), np.array([1.0]))
-            eps2 = float(rng.uniform(ex["separated_eps_lo"], ex["separated_eps_hi"]))
+            far = DiscretePmf(np.array([[atom + _OUTLIER_SHIFT]]), np.array([1.0]))
+            eps2 = float(rng.uniform(*_SEPARATED_EPS))
             spec1 = HuberSpec(0.0, base, None)
             spec2 = HuberSpec(eps2, base, far)
         else:
@@ -380,7 +377,7 @@ def run_policy_soundness(cfg: ExperimentConfig) -> ExperimentReport:
         d2 = sample_huber(spec2, m, seeds[1], "b")
         if ex["reference"] == "uniform":
             ref_specs = [
-                HuberSpec(float(rng.uniform(0.0, ex["ref_eps_max"])), base, random_pmf(rng, support))
+                HuberSpec(float(rng.uniform(0.0, _REF_EPS_MAX)), base, random_pmf(rng, support))
                 for _ in range(n_ref)
             ]
             ref_sets = [
@@ -438,13 +435,11 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
     i_mis = ex["misreporter"] if ex["misreporter"] is not None else cfg.n // 2
     if not (0 <= i_mis < cfg.n):
         raise InputError("incentive: misreporter index out of range")
-    if not 0 < ex["noise_var"] < math.inf:
-        raise InputError(f"incentive: noise_var must be finite and > 0, got {ex['noise_var']!r}")
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 4 + cfg.n)
         base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seeds[0])
         if ex["mode"] == "exact":
-            rows.extend(_incentive_exact_trial(cfg, ex, t, base, specs, i_mis))
+            rows.extend(_incentive_rows(t, i_mis, *_incentive_exact(cfg, ex, base, specs, i_mis)))
             continue
         honest = [sample_huber(specs[i], ex["m"], seeds[2 + i], f"v{i}") for i in range(cfg.n)]
         ref_gt = sample_huber(HuberSpec(0.0, base, None), ex["m_star"], seeds[1], "gt")
@@ -454,37 +449,47 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
         mis[i_mis] = Dataset(
             f"v{i_mis}", pts + rng.normal(0.0, math.sqrt(ex["noise_var"]), size=pts.shape)
         )
-        # The uniform mixture is rebuilt from whatever the vendors submitted.
-        mix_b = Dataset("mix", np.concatenate([d.points for d in honest], axis=0))
-        mix_a = Dataset("mix", np.concatenate([d.points for d in mis], axis=0))
-        gt_b, gt_a = _values(cfg.kernel, honest, ref_gt), _values(cfg.kernel, mis, ref_gt)
-        ours_b, ours_a = _values(cfg.kernel, honest, mix_b), _values(cfg.kernel, mis, mix_a)
-        m2_b = [-mmd2_unbiased(cfg.kernel, d, mix_b) for d in honest]
-        m2_a = [-mmd2_unbiased(cfg.kernel, d, mix_a) for d in mis]
-        for i in range(cfg.n):
-            rows.append(
-                {
-                    "trial": t,
-                    "vendor": i,
-                    "misreporter": int(i == i_mis),
-                    "change_gt": float(gt_a[i] - gt_b[i]),
-                    "change_ours": float(ours_a[i] - ours_b[i]),
-                    "change_mmd2": float(m2_a[i] - m2_b[i]),
-                    "d_ours_before": float(-ours_b[i]),
-                    "d_ours_after": float(-ours_a[i]),
-                }
-            )
-    mis_rows = [r for r in rows if r["misreporter"]]
+        d_gt, d_mix, mmd2 = [], [], []
+        for data in (honest, mis):
+            # The uniform mixture is rebuilt from whatever the vendors submitted.
+            mix = Dataset("mix", np.concatenate([d.points for d in data], axis=0))
+            d_gt.append([mmd_biased(cfg.kernel, d, ref_gt) for d in data])
+            d_mix.append([mmd_biased(cfg.kernel, d, mix) for d in data])
+            mmd2.append([mmd2_unbiased(cfg.kernel, d, mix) for d in data])
+        rows.extend(_incentive_rows(t, i_mis, d_gt, d_mix, mmd2))
     agg = summarize(rows, skip=("trial", "vendor"))
+    mis_agg = summarize([r for r in rows if r["misreporter"]], skip=("trial", "vendor"))
     for key in ("change_gt", "change_ours", "change_mmd2"):
-        agg[f"misreporter_{key}"] = summarize(mis_rows, skip=("trial", "vendor"))[key]
+        agg[f"misreporter_{key}"] = mis_agg[key]
     return _report(cfg, rows, agg)
 
 
-def _incentive_exact_trial(cfg, ex, t, base, specs, i_mis):
-    """The misreporter's pmf convolved with a discretized zero-mean Gaussian;
-    every pmf of the trial lives on the population's lattice {0..support_max}
-    widened on both sides by the noise's reach."""
+def _incentive_rows(t, i_mis, d_gt, d_mix, mmd2):
+    """One row per vendor from (before, after) pairs of per-vendor arrays:
+    the distance to the ground truth, the distance to the uniform mixture,
+    and the squared MMD against the mixture. A value is minus its distance,
+    so a value's change is before - after."""
+    (gt_b, gt_a), (mix_b, mix_a), (m2_b, m2_a) = d_gt, d_mix, mmd2
+    return [
+        {
+            "trial": t,
+            "vendor": i,
+            "misreporter": int(i == i_mis),
+            "change_gt": float(gt_b[i] - gt_a[i]),
+            "change_ours": float(mix_b[i] - mix_a[i]),
+            "change_mmd2": float(m2_b[i] - m2_a[i]),
+            "d_ours_before": float(mix_b[i]),
+            "d_ours_after": float(mix_a[i]),
+        }
+        for i in range(len(gt_b))
+    ]
+
+
+def _incentive_exact(cfg, ex, base, specs, i_mis):
+    """`_incentive_rows`' arrays in exact mode, where the misreporter's pmf is
+    convolved with a discretized zero-mean Gaussian. Every pmf of the trial
+    lives on the population's lattice {0..support_max} widened on both sides
+    by the noise's reach, and the squared MMD is the exact one."""
     half = max(1, math.ceil(4.0 * math.sqrt(ex["noise_var"])))
     noise = np.exp(-(np.arange(-half, half + 1) ** 2) / (2.0 * ex["noise_var"]))
     wide = np.arange(-half, ex["support_max"] + half + 1, dtype=float)[:, None]
@@ -493,21 +498,9 @@ def _incentive_exact_trial(cfg, ex, t, base, specs, i_mis):
     mis = honest.copy()
     mis[i_mis] = np.convolve(honest[i_mis, half:-half], noise / noise.sum())
     mis[i_mis] /= mis[i_mis].sum()
-    d_gt_b, d_gt_a = (signed_mmd(cfg.kernel, wide, p - b) for p in (honest, mis))
-    d_u_b, d_u_a = (signed_mmd(cfg.kernel, wide, p - _uniform_mix(p)) for p in (honest, mis))
-    return [
-        {
-            "trial": t,
-            "vendor": i,
-            "misreporter": int(i == i_mis),
-            "change_gt": -float(d_gt_a[i] - d_gt_b[i]),
-            "change_ours": -float(d_u_a[i] - d_u_b[i]),
-            "change_mmd2": -float(d_u_a[i] ** 2 - d_u_b[i] ** 2),
-            "d_ours_before": float(d_u_b[i]),
-            "d_ours_after": float(d_u_a[i]),
-        }
-        for i in range(cfg.n)
-    ]
+    d_gt = [signed_mmd(cfg.kernel, wide, p - b) for p in (honest, mis)]
+    d_mix = [signed_mmd(cfg.kernel, wide, p - _uniform_mix(p)) for p in (honest, mis)]
+    return d_gt, d_mix, [d**2 for d in d_mix]
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +514,8 @@ def run_game_verify(cfg: ExperimentConfig) -> ExperimentReport:
     for t in range(cfg.trials):
         rng = _trial_rng(cfg.seed, t)
         for n in ex["n_values"]:
-            d = rng.uniform(0.0, ex["distance_scale"], size=n)
-            rep = verify_minmax(build_game(d))
+            # the minimax identity holds at any scale of the distances
+            rep = verify_minmax(build_game(rng.uniform(0.0, 1.0, size=n)))
             rows.append(
                 {
                     "trial": t,

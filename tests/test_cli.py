@@ -584,6 +584,13 @@ def _extra_case(name, key, value):
         _extra_case("convergence", "fractions", []),
         # once rows for fractions 2.0 (m above m_full), -0.5 and 0.0 (m 1)
         _extra_case("convergence", "fractions", [2.0, -0.5, 0.0]),
+        # once numpy's ValueError traceback, or a CapacityError from build_game
+        ("verify-game", "game.n_values", [-2], "game.n_values"),
+        ("verify-game", "game.n_values", [1], "game.n_values"),
+        ("verify-game", "game.n_values", [8], "game.n_values"),
+        _extra_case("game_verify", "n_values", [-2]),
+        _extra_case("game_verify", "n_values", [1]),
+        _extra_case("game_verify", "n_values", [8]),
     ],
 )
 def test_malformed_config_is_input_error(

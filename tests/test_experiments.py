@@ -44,9 +44,9 @@ def cfg(name, n, trials, seed, **extra):
         # once run as empirical mode, the ground-truth variant, or a traceback
         (ExperimentName.INCENTIVE_COMPAT, "mode", "bogus", 'must be one of "empirical", "exact"'),
         (ExperimentName.POLICY_SOUNDNESS, "reference", "mixture", "must be one of"),
-        (ExperimentName.CONVERGENCE, "m_full", "abc", 'must be an integer, got "abc"'),
-        (ExperimentName.INCENTIVE_COMPAT, "m", None, "must be an integer, got null"),
-        (ExperimentName.INCENTIVE_COMPAT, "m", True, "must be an integer, got true"),
+        (ExperimentName.CONVERGENCE, "m_full", "abc", 'must be an integer >= 1, got "abc"'),
+        (ExperimentName.INCENTIVE_COMPAT, "m", None, "must be an integer >= 1, got null"),
+        (ExperimentName.INCENTIVE_COMPAT, "m", True, "must be an integer >= 1, got true"),
         (ExperimentName.INCENTIVE_COMPAT, "noise_var", math.inf, "must be a number"),
         (ExperimentName.CONVERGENCE, "fractions", (0.5, 1.0), "must be a nonempty list of numbers"),
         (ExperimentName.GAME_VERIFY, "n_values", [2.0], "must be a nonempty list of integers"),
@@ -60,12 +60,27 @@ def cfg(name, n, trials, seed, **extra):
         # once a ValueError from numpy's SeedSequence, and a late "need at least one dataset"
         (ExperimentName.POLICY_SOUNDNESS, "ref_vendors", -5, "must be an integer >= 1, got -5"),
         (ExperimentName.POLICY_SOUNDNESS, "ref_vendors", 0, "must be an integer >= 1, got 0"),
+        # once a ValueError traceback from numpy, and CapacityErrors from a running runner
+        (ExperimentName.GAME_VERIFY, "n_values", [-2], r"must be .* integers in \[2, 7\], got \[-2\]"),
+        (ExperimentName.GAME_VERIFY, "n_values", [1], r"must be .* integers in \[2, 7\], got \[1\]"),
+        (ExperimentName.GAME_VERIFY, "n_values", [8], r"must be .* integers in \[2, 7\], got \[8\]"),
+        # once "sample_huber: m must be >= 1", and "pmf: empty support"
+        (ExperimentName.INCENTIVE_COMPAT, "m", 0, "must be an integer >= 1, got 0"),
+        (ExperimentName.CORRELATION, "support_max", -3, "must be an integer >= 0, got -3"),
+        # once "random_huber_population: eps_max must be in (0, 1)" from a running runner
+        (ExperimentName.CORRELATION, "eps_max", 1.0, r"must be a number in \(0, 1\), got 1.0"),
+        # once an InputError from the runner itself
+        (ExperimentName.INCENTIVE_COMPAT, "noise_var", 0, "must be a number > 0, got 0"),
+        # the separated pair's shift is a constant of the study, not a key
+        (ExperimentName.POLICY_SOUNDNESS, "outlier_shift", 5.0, "is not a known key"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
         "noise_var-inf", "fractions-tuple", "n_values-floats", "fractions-empty",
         "n_values-empty", "fractions-above-1", "fractions-negative", "fractions-zero",
-        "ref_vendors-negative", "ref_vendors-zero",
+        "ref_vendors-negative", "ref_vendors-zero", "n_values-negative", "n_values-one",
+        "n_values-eight", "m-zero", "support_max-negative", "eps_max-one", "noise_var-zero",
+        "outlier_shift-removed",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):
