@@ -12,7 +12,6 @@ from .errors import (
     InputError,
     PropertyViolation,
     UndefinedCorrelationError,
-    UnsupportedModeError,
 )
 from .kernel import KernelConfig, gram_sum, kernel_eval, median_heuristic
 from .mmd import mmd2_unbiased, mmd_biased, mmd_discrete
@@ -88,7 +87,6 @@ __all__ = [
     "Reference",
     "ReferenceKind",
     "UndefinedCorrelationError",
-    "UnsupportedModeError",
     "ValueVector",
     "Verdict",
     "analytic_game_value",

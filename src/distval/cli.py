@@ -28,6 +28,7 @@ from ._schema import (
     NUMBERS,
     Section,
     is_number,
+    nonempty_list_of,
     one_of,
 )
 from .data import Dataset
@@ -150,14 +151,6 @@ def ingest_ground_truth(manifest: VendorManifest) -> Dataset | None:
     return Dataset(id="ground_truth", points=pts)
 
 
-def write_dataset_csv(dataset: Dataset, path: str):
-    """Inverse of ingest for decimal-representable values (repr round-trips)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in dataset.points:
-            w.writerow([repr(float(v)) for v in row])
-
-
 # ---------------------------------------------------------------------------
 # configuration plumbing
 
@@ -183,7 +176,8 @@ def _load_config(path: str | None) -> dict:
 # type its error names, and the test.
 _STRING = ("a string", lambda v: isinstance(v, str))
 _OBJECT = ("an object", lambda v: isinstance(v, dict))
-_LIST = ("a list", lambda v: isinstance(v, list))
+# no vendors would leave nothing to pool, score or mix
+_VENDORS = ("a nonempty list", nonempty_list_of(lambda v: True))
 _SIGMA = ('a number or "auto"', lambda v: v == "auto" or is_number(v))
 
 
@@ -200,7 +194,7 @@ def _flag_or(flag, value):
 def _manifest_from_config(cfg: dict) -> VendorManifest:
     m = _section(cfg, "manifest", ("dim", "has_header", "vendors", "ground_truth"))
     entries = []
-    for i, obj in enumerate(m.get("vendors", _LIST)):
+    for i, obj in enumerate(m.get("vendors", _VENDORS)):
         vendor = Section(obj, f"manifest.vendors[{i}]", ("id", "path"))
         entries.append((vendor.get("id", _STRING), vendor.get("path", _STRING)))
     return VendorManifest(
@@ -458,6 +452,12 @@ def main(argv=None) -> int:
     except PropertyViolation as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 2
+    except OSError as e:
+        if e.filename is None:  # not a file the command opened
+            raise
+        # inputs are read through _read_text, so this is an --out file
+        print(f"error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

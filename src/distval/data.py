@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,14 +63,7 @@ class Dataset:
 
     id: str
     points: np.ndarray
-    _atoms: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # The atoms' row keys in sorted order, and each sorted key's atom index.
-    _index: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         pts = _frozen_copy(self.points)
@@ -104,17 +98,21 @@ class Dataset:
 
         Rows match under == as in `atoms`, so -0.0 matches 0.0.
         """
-        atoms = self.atoms[0]
-        if self._index is None:
-            keys = _row_keys(atoms)
-            order = np.argsort(keys)
-            object.__setattr__(self, "_index", (keys[order], order))
         keys, order = self._index
         at = np.minimum(np.searchsorted(keys, _row_keys(rows)), len(keys) - 1)
         idx = order[at]
-        return np.where((atoms[idx] == rows).all(axis=1), idx, -1)
+        return np.where((self.atoms[0][idx] == rows).all(axis=1), idx, -1)
 
-    @property
+    # cached_property writes the instance __dict__, not through __setattr__,
+    # so it works on a frozen dataclass.
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The atoms' row keys in sorted order, and each sorted key's atom index."""
+        keys = _row_keys(self.atoms[0])
+        order = np.argsort(keys)
+        return keys[order], order
+
+    @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (sorted) and their counts as float weights.
 
@@ -122,11 +120,9 @@ class Dataset:
         measure of the atoms, so a sum over all row pairs equals the weighted
         sum over atom pairs.
         """
-        if self._atoms is None:
-            rows, _, counts = _distinct_rows(self.points)
-            rows.flags.writeable = False
-            object.__setattr__(self, "_atoms", (rows, _frozen_copy(counts)))
-        return self._atoms
+        rows, _, counts = _distinct_rows(self.points)
+        rows.flags.writeable = False
+        return rows, _frozen_copy(counts)
 
 
 @dataclass(frozen=True)

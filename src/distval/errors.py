@@ -5,10 +5,6 @@ class InputError(ValueError):
     """Malformed or inconsistent caller input (dimension mismatch, empty data, bad pmf)."""
 
 
-class UnsupportedModeError(InputError):
-    """Operation requires exact (finite-support) distributions but got empirical handles."""
-
-
 class CapacityError(InputError):
     """Requested problem size exceeds what can be materialised explicitly."""
 

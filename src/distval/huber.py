@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, DiscretePmf, mix_pmfs
-from .errors import InputError, UnsupportedModeError
+from .errors import InputError
 from .kernel import KernelConfig
 from .mmd import mmd_discrete
 
@@ -46,47 +46,38 @@ class MixtureWeights:
 class HuberSpec:
     """(eps, base, outlier) describing one vendor's sampling law.
 
-    base/outlier are either both DiscretePmf (exact mode) or both Dataset
-    (empirical sources drawn uniformly with replacement). outlier may be None
-    only when eps == 0.
+    base and outlier are finite-support pmfs; to resample a Dataset, pass the
+    pmf of its `atoms`. outlier may be None only when eps == 0.
     """
 
     epsilon: float
-    base: DiscretePmf | Dataset
-    outlier: DiscretePmf | Dataset | None
+    base: DiscretePmf
+    outlier: DiscretePmf | None
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
             raise InputError(f"huber: epsilon must be in [0, 1), got {self.epsilon!r}")
+        if not isinstance(self.base, DiscretePmf):
+            raise InputError("huber: base must be a DiscretePmf")
         if self.outlier is None:
             if self.epsilon != 0.0:
                 raise InputError("huber: outlier may be omitted only when epsilon == 0")
             return
-        if type(self.base) is not type(self.outlier):
-            raise InputError("huber: base and outlier must be the same kind of handle")
+        if not isinstance(self.outlier, DiscretePmf):
+            raise InputError("huber: outlier must be a DiscretePmf")
         if self.base.dim != self.outlier.dim:
             raise InputError("huber: base and outlier must share a dimension")
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.base, DiscretePmf)
 
 
 def realized_pmf(spec: HuberSpec) -> DiscretePmf:
     """The mixture (1 - eps) * base + eps * outlier as an explicit pmf."""
-    if not spec.exact:
-        raise UnsupportedModeError("realized_pmf needs exact (finite-support) handles")
     if spec.epsilon == 0.0 or spec.outlier is None:
         return spec.base
     return mix_pmfs([spec.base, spec.outlier], np.array([1.0 - spec.epsilon, spec.epsilon]))
 
 
-def _same_base(a, b) -> bool:
-    if a is b:
-        return True
-    if isinstance(a, DiscretePmf) and isinstance(b, DiscretePmf):
-        return np.array_equal(a.support, b.support) and np.array_equal(a.probs, b.probs)
-    return False
+def _same_base(a: DiscretePmf, b: DiscretePmf) -> bool:
+    return a is b or (np.array_equal(a.support, b.support) and np.array_equal(a.probs, b.probs))
 
 
 def huber_mix(specs: list[HuberSpec], w: MixtureWeights) -> HuberSpec:
@@ -99,8 +90,6 @@ def huber_mix(specs: list[HuberSpec], w: MixtureWeights) -> HuberSpec:
     """
     if len(specs) != len(w):
         raise InputError("huber_mix: one weight per spec required")
-    if not all(s.exact for s in specs):
-        raise UnsupportedModeError("huber_mix needs exact (finite-support) handles")
     base = specs[0].base
     for s in specs[1:]:
         if not _same_base(s.base, base):
@@ -120,26 +109,20 @@ def huber_value_exact(cfg: KernelConfig, spec: HuberSpec) -> float:
     Equals -d(realized mixture, base): mixing eps of the outlier in moves the
     distribution away from the base linearly in eps.
     """
-    if not spec.exact:
-        raise UnsupportedModeError("huber_value_exact needs exact handles")
     if spec.epsilon == 0.0 or spec.outlier is None:
         return 0.0
     return -spec.epsilon * mmd_discrete(cfg, spec.base, spec.outlier)
 
 
-def _draw(source, rng: np.random.Generator, count: int) -> np.ndarray:
-    if isinstance(source, DiscretePmf):
-        idx = rng.choice(len(source), size=count, p=source.probs)
-        return source.support[idx]
-    idx = rng.integers(0, len(source), size=count)
-    return source.points[idx]
+def _draw(source: DiscretePmf, rng: np.random.Generator, count: int) -> np.ndarray:
+    idx = rng.choice(len(source), size=count, p=source.probs)
+    return source.support[idx]
 
 
 def sample_huber(spec: HuberSpec, m: int, seed: int, dataset_id: str = "sample") -> Dataset:
     """Draw m i.i.d. points: each from the outlier w.p. eps, else from the base.
 
-    Empirical sources are resampled uniformly with replacement. Deterministic
-    given the seed.
+    Deterministic given the seed.
     """
     if m < 1:
         raise InputError("sample_huber: m must be >= 1")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from distval import Dataset, InputError
 from distval import cli
-from distval.cli import VendorManifest, ingest, main, write_dataset_csv
+from distval.cli import VendorManifest, ingest, main
 
 
 def write_csv(path, rows):
@@ -95,9 +95,9 @@ def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     d = Dataset("r", rng.normal(size=(25, 3)))
     out = tmp_path / "out.csv"
-    write_dataset_csv(d, str(out))
+    write_csv(out, d.points.tolist())
     (back,) = ingest(VendorManifest(entries=[("r", str(out))], dim=3))
-    assert np.array_equal(back.points, d.points)  # repr round-trips floats
+    assert np.array_equal(back.points, d.points)  # str of a float is its repr, which round-trips
 
 
 def _both_readers(path, text, dim, has_header):
@@ -591,6 +591,10 @@ def _extra_case(name, key, value):
         _extra_case("game_verify", "n_values", [-2]),
         _extra_case("game_verify", "n_values", [1]),
         _extra_case("game_verify", "n_values", [8]),
+        # no vendors: once an error naming the missing ground truth (with
+        # sigma "auto", a ValueError from pooling no rows), or an empty ranking
+        ("value", "manifest", {"dim": 2, "vendors": []}, "manifest.vendors"),
+        ("rank", "manifest.vendors", [], "manifest.vendors"),
     ],
 )
 def test_malformed_config_is_input_error(
@@ -609,6 +613,29 @@ def test_malformed_config_is_input_error(
     assert "Traceback" not in err
     last_line = err.strip().splitlines()[-1]
     assert last_line.startswith("error: config: ") and named in last_line
+
+
+@pytest.mark.parametrize(
+    "command, fmt",
+    [
+        ("value", "json"),
+        ("rank", "csv"),
+        ("compare", None),
+        ("experiment", "json"),
+        ("experiment", "csv"),
+        ("verify-game", None),
+    ],
+)
+@pytest.mark.parametrize("out", ["missing/r.json", "."])
+def test_unwritable_out_is_input_error(tmp_path, vendor_files, capsys, command, fmt, out):
+    # once a FileNotFoundError or IsADirectoryError traceback, after the work
+    p = _config(tmp_path, vendor_files, **_EVERY_SECTION)
+    out = str(tmp_path / out)
+    argv = [command, "--config", str(p), "--seed", "1", "--out", out]
+    assert main(argv + (["--format", fmt] if fmt else [])) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith(f"error: cannot write {out}: ")
 
 
 @pytest.mark.parametrize("command", ["value", "rank", "compare", "experiment", "verify-game"])

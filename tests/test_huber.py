@@ -10,7 +10,6 @@ from distval import (
     InputError,
     KernelConfig,
     MixtureWeights,
-    UnsupportedModeError,
     huber_mix,
     huber_value_exact,
     mmd_discrete,
@@ -134,8 +133,8 @@ def test_value_exact_linear_in_eps():
 
 def test_value_exact_rejects_empirical():
     emp = Dataset("e", np.zeros((3, 1)))
-    with pytest.raises(UnsupportedModeError):
-        huber_value_exact(CFG, HuberSpec(0.1, emp, emp))
+    with pytest.raises(InputError):
+        HuberSpec(0.1, emp, emp)
 
 
 def test_sample_pure_base():
@@ -161,7 +160,12 @@ def test_sample_deterministic():
 def test_sample_empirical_source():
     emp_base = Dataset("b", np.array([[0.0], [2.0]]))
     emp_out = Dataset("o", np.array([[9.0]]))
-    spec = HuberSpec(0.5, emp_base, emp_out)
+
+    def empirical(D):  # resampling a dataset is sampling this pmf
+        rows, counts = D.atoms
+        return DiscretePmf(rows, counts / len(D))
+
+    spec = HuberSpec(0.5, empirical(emp_base), empirical(emp_out))
     got = sample_huber(spec, 2000, seed=12)
     assert set(np.unique(got.points)) <= {0.0, 2.0, 9.0}
 
