@@ -22,7 +22,6 @@ from ._schema import (
     BOOLEAN,
     COUNT,
     GAME_SIZES,
-    INTEGER,
     NONNEGATIVE,
     NUMBER,
     NUMBERS,
@@ -199,7 +198,7 @@ def _manifest_from_config(cfg: dict) -> VendorManifest:
         entries.append((vendor.get("id", _STRING), vendor.get("path", _STRING)))
     return VendorManifest(
         entries=entries,
-        dim=m.get("dim", INTEGER),
+        dim=m.get("dim", COUNT),
         ground_truth=m.get("ground_truth", _STRING, None),
         has_header=m.get("has_header", BOOLEAN, False),
     )
@@ -227,7 +226,7 @@ def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
     sec = _section(cfg, "reference", ("kind", "weights", "total"))
     kind = ReferenceKind(sec.get("kind", one_of(ReferenceKind), "uniform"))
     weights = sec.get("weights", NUMBERS, None)
-    total = sec.get("total", INTEGER, None)
+    total = sec.get("total", COUNT, None)
     if kind is ReferenceKind.GROUND_TRUTH:
         if gt is None:
             raise InputError("reference kind 'ground_truth' needs manifest.ground_truth")
@@ -331,8 +330,8 @@ def cmd_compare(cfg: dict, args) -> int:
 def cmd_experiment(cfg: dict, args) -> int:
     exp = _section(cfg, "experiment", ("name", "n", "trials", "seed", "extra"))
     name = ExperimentName(exp.get("name", one_of(ExperimentName)))
-    n = exp.get("n", INTEGER, 1)
-    trials = exp.get("trials", INTEGER, 1)
+    n = exp.get("n", COUNT, 1)
+    trials = exp.get("trials", COUNT, 1)
     seed = _flag_or(args.seed, exp.get("seed", NONNEGATIVE, None))
     # ExperimentConfig checks each extra key and value
     extra = exp.get("extra", _OBJECT, {})
@@ -445,13 +444,23 @@ def main(argv=None) -> int:
             f"distval {args.command}: seed={args.seed} config={args.config}",
             file=sys.stderr,
         )
-        return _COMMANDS[args.command][0](cfg, args)
+        code = _COMMANDS[args.command][0](cfg, args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the exit flush
+        return code
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except PropertyViolation as e:
         print(f"property violation: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError as e:
+        # The reader closed stdout. Point it at devnull, so the exit flush of
+        # what is still buffered does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {e.strerror}", file=sys.stderr)
+        return 1
     except OSError as e:
         if e.filename is None:  # not a file the command opened
             raise

@@ -44,11 +44,17 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[first], inverse, counts
 
 
-def _row_keys(X: np.ndarray) -> np.ndarray:
-    # One opaque byte string per row; adding 0.0 turns -0.0 into 0.0, so rows
-    # equal under == have equal keys.
-    rows = np.ascontiguousarray(X + 0.0)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+def _find_rows(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each of `rows`, the index of the atom equal to it, or -1, where
+    `atoms` is `_distinct_rows`'s first output. Rows match under ==, so -0.0
+    matches 0.0."""
+    # A record of float fields compares field by field as numbers: the atoms'
+    # lexicographic order, in which a binary search finds each row.
+    rec = np.dtype([("", float)] * atoms.shape[1])
+    keys = atoms.view(rec).reshape(-1)
+    at = np.searchsorted(keys, rows.view(rec).reshape(-1))
+    at = np.minimum(at, len(keys) - 1)
+    return np.where((atoms[at] == rows).all(axis=1), at, -1)
 
 
 @dataclass(frozen=True)
@@ -93,25 +99,8 @@ class Dataset:
             self._embeddings[cfg] = (s, g)
         return self._embeddings[cfg]
 
-    def _find(self, rows: np.ndarray) -> np.ndarray:
-        """For each of `rows`, the index of the atom equal to it, or -1.
-
-        Rows match under == as in `atoms`, so -0.0 matches 0.0.
-        """
-        keys, order = self._index
-        at = np.minimum(np.searchsorted(keys, _row_keys(rows)), len(keys) - 1)
-        idx = order[at]
-        return np.where((self.atoms[0][idx] == rows).all(axis=1), idx, -1)
-
     # cached_property writes the instance __dict__, not through __setattr__,
     # so it works on a frozen dataclass.
-    @cached_property
-    def _index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The atoms' row keys in sorted order, and each sorted key's atom index."""
-        keys = _row_keys(self.atoms[0])
-        order = np.argsort(keys)
-        return keys[order], order
-
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (sorted) and their counts as float weights.
@@ -150,7 +139,7 @@ class DiscretePmf:
         if np.any(probs < 0):
             raise InputError("pmf: negative probability")
         if abs(probs.sum() - 1.0) > PMF_SUM_TOL:
-            raise InputError(f"pmf: probabilities sum to {probs.sum()!r}, not 1")
+            raise InputError(f"pmf: probabilities sum to {float(probs.sum())}, not 1")
         if len(_distinct_rows(supp)[0]) != len(supp):
             raise InputError("pmf: support points must be pairwise distinct")
         object.__setattr__(self, "support", supp)
@@ -186,5 +175,5 @@ def mix_pmfs(pmfs: list[DiscretePmf], weights: np.ndarray) -> DiscretePmf:
     support, probs = on_union_support(pmfs, [w * p.probs for p, w in zip(pmfs, weights)])
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
-        raise InputError(f"mix_pmfs: weights produce total mass {total!r}")
+        raise InputError(f"mix_pmfs: weights produce total mass {float(total)}")
     return DiscretePmf(support=support, probs=probs / total)

@@ -31,7 +31,7 @@ class MixtureWeights:
         if not np.all(w >= 0):  # false for NaN too
             raise InputError("weights must be nonnegative numbers")
         if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise InputError(f"weights sum to {w.sum()!r}, not 1")
+            raise InputError(f"weights sum to {float(w.sum())}, not 1")
         object.__setattr__(self, "weights", w)
 
     @classmethod

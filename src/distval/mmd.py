@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .data import Dataset, DiscretePmf, check_same_dim, on_union_support
+from .data import Dataset, DiscretePmf, _find_rows, check_same_dim, on_union_support
 from .errors import InputError
 from .kernel import KernelConfig, _self_sum_and_embedding, weighted_gram_sum
 
@@ -47,7 +47,7 @@ def _sums(
         return s_aa, s_bb, s_aa  # the self route, as weighted_gram_sum takes it
     a_small = len(xa) <= len(xb)
     x, w, big = (xa, wa, B) if a_small else (xb, wb, A)
-    idx = big._find(x)
+    idx = _find_rows(big.atoms[0], x)
     found = idx >= 0
     g = _embedding(cfg, big, threads)[1]
     terms = (w[found] * g[idx[found]]).tolist()

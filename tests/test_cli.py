@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -443,6 +444,29 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout)["certified"] is True
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_is_input_error(tmp_path, vendor_files, fmt, unbuffered):
+    # The read end is closed before the child writes. Once a BrokenPipeError
+    # traceback, or with buffered stdout an ignored exception and exit 120.
+    cfg = _config(tmp_path, vendor_files)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "distval.cli", "value", "--config", str(cfg), "--format", fmt],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONUNBUFFERED": unbuffered},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert proc.stderr.strip().splitlines()[-1].startswith("error: cannot write stdout: ")
+
+
 def test_bad_threads_env_is_input_error(tmp_path, vendor_files, capsys, monkeypatch):
     # the worker count comes only from --threads; the environment is not read
     monkeypatch.setenv("DISTVAL_THREADS", "abc")
@@ -595,6 +619,11 @@ def _extra_case(name, key, value):
         # sigma "auto", a ValueError from pooling no rows), or an empty ranking
         ("value", "manifest", {"dim": 2, "vendors": []}, "manifest.vendors"),
         ("rank", "manifest.vendors", [], "manifest.vendors"),
+        # counts of 0: once errors that did not name the key
+        ("value", "manifest.dim", 0, "manifest.dim"),
+        ("value", "reference", {**_MIXTURE, "total": 0}, "reference.total"),
+        ("experiment", "experiment.n", 0, "experiment.n"),
+        ("experiment", "experiment.trials", 0, "experiment.trials"),
     ],
 )
 def test_malformed_config_is_input_error(

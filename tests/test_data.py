@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distval import Dataset, DiscretePmf, InputError, KernelConfig, mix_pmfs, mmd_biased
-from distval.data import _distinct_rows
+from distval import (
+    Dataset,
+    DiscretePmf,
+    InputError,
+    KernelConfig,
+    MixtureWeights,
+    mix_pmfs,
+    mmd_biased,
+)
+from distval.data import _distinct_rows, _find_rows
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -75,6 +83,40 @@ def test_distinct_rows_match_np_unique(rows):
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert counts.tolist() == want_counts.tolist()
     assert (got[inverse] == X).all()
+
+
+_LATTICE = [0.0, -0.0, 1.0, -2.5, 7.0]
+
+
+def _lattice_rows(d, values, min_size):
+    return st.lists(
+        st.lists(st.sampled_from(values), min_size=d, max_size=d), min_size=min_size, max_size=30
+    )
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda d: st.tuples(
+            _lattice_rows(d, _LATTICE, 1),
+            # -9.0 and 9.0 lie below and above every lattice value
+            _lattice_rows(d, _LATTICE + [-9.0, 9.0], 0),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_find_rows_matches_brute_force(case):
+    rows, others = case
+    X = np.array(rows)
+    d = X.shape[1]
+    atoms = _distinct_rows(X)[0]
+    queries = np.concatenate(
+        [X, np.array(others).reshape(-1, d), np.full((1, d), -9.0), np.full((1, d), 9.0)]
+    )
+    want = []
+    for r in queries:
+        hits = np.flatnonzero((atoms == r).all(1))
+        want.append(int(hits[0]) if len(hits) else -1)
+    assert _find_rows(atoms, queries).tolist() == want
 
 
 def _in_order_mix(pmfs, weights):
@@ -148,3 +190,22 @@ def test_mix_pmfs_rejects_dimension_mismatch_and_weight_count():
 def test_pmf_rejects_signed_zero_duplicates():
     with pytest.raises(InputError, match="distinct"):
         DiscretePmf([[0.0], [-0.0]], [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: DiscretePmf([[0.0], [1.0]], [0.5, 0.6]), "pmf: probabilities sum to 1.1, not 1"),
+        (
+            lambda: mix_pmfs([DiscretePmf([[0.0]], [1.0])] * 2, [0.25, 0.25]),
+            "mix_pmfs: weights produce total mass 0.5",
+        ),
+        (lambda: MixtureWeights([0.5, 0.6]), "weights sum to 1.1, not 1"),
+    ],
+    ids=["pmf", "mix_pmfs", "weights"],
+)
+def test_sum_errors_print_python_floats(build, text):
+    # numpy 2 reprs a scalar as np.float64(1.1); the text is the same on 1.x
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == text
