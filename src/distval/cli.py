@@ -204,10 +204,11 @@ def _manifest_from_config(cfg: dict) -> VendorManifest:
     )
 
 
-def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfig:
-    """The kernel for --sigma, else config kernel.sigma. Sigma 'auto', the
-    default for data commands, is the median heuristic over the pooled rows;
-    experiments (pools None) have no data to pool and default to 1.0."""
+def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> tuple[KernelConfig, str]:
+    """The kernel for --sigma, else config kernel.sigma, and where its sigma
+    came from: "flag", "config" or "median of the pooled rows". Sigma 'auto',
+    the default for data commands, is the median heuristic over the pooled
+    rows; experiments (pools None) have no data to pool and default to 1.0."""
     kernel = _section(cfg, "kernel", ("sigma",))
     spec = _flag_or(args.sigma, kernel.get("sigma", _SIGMA, 1.0 if pools is None else "auto"))
     if spec != "auto":
@@ -215,11 +216,11 @@ def _kernel_from(cfg: dict, args, pools: list[np.ndarray] | None) -> KernelConfi
             sigma = float(spec)
         except ValueError:
             raise InputError(f"sigma must be a positive number or 'auto', got {spec!r}") from None
-        return KernelConfig(sigma=sigma)
+        return KernelConfig(sigma=sigma), "config" if args.sigma is None else "flag"
     if pools is None:
         raise InputError("experiments need an explicit sigma (no pooled data to derive it from)")
     pooled = Dataset(id="pooled", points=np.concatenate(pools, axis=0))
-    return KernelConfig(sigma=median_heuristic(pooled))
+    return KernelConfig(sigma=median_heuristic(pooled)), "median of the pooled rows"
 
 
 def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
@@ -269,8 +270,8 @@ def _prepare_data(cfg: dict, args):
     datasets = ingest(manifest)
     gt = ingest_ground_truth(manifest)
     pools = [d.points for d in datasets] + ([gt.points] if gt is not None else [])
-    kernel = _kernel_from(cfg, args, pools)
-    return datasets, kernel, _build_reference(cfg, datasets, gt, args.seed)
+    kernel, sigma_source = _kernel_from(cfg, args, pools)
+    return datasets, kernel, sigma_source, _build_reference(cfg, datasets, gt, args.seed)
 
 
 # with the RBF kernel (K = 1) every value lies in [-sqrt(2), 0]
@@ -280,7 +281,7 @@ _VALUE_SCALE = {"min": -math.sqrt(2.0), "max": 0.0}
 def cmd_score(cfg: dict, args) -> int:
     """`value` scores the vendors in manifest order; `rank` sorts them best
     first and adds a rank column."""
-    datasets, kernel, ref = _prepare_data(cfg, args)
+    datasets, kernel, sigma_source, ref = _prepare_data(cfg, args)
     if args.command == "rank":
         ranked = rank_vendors(kernel, datasets, ref, args.threads)
         result = [{"rank": i + 1, "id": vid, "value": val} for i, (vid, val) in enumerate(ranked)]
@@ -288,7 +289,7 @@ def cmd_score(cfg: dict, args) -> int:
         result = [
             {"id": d.id, "value": value_dataset(kernel, d, ref, args.threads)} for d in datasets
         ]
-    resolved = _provenance(args, kernel, ref=ref.kind.value)
+    resolved = _provenance(args, kernel, sigma_source, ref=ref.kind.value)
     _note_provenance(resolved)
     if args.format == "csv":
         write_csv(result, args.out)
@@ -306,7 +307,7 @@ def cmd_score(cfg: dict, args) -> int:
 
 
 def cmd_compare(cfg: dict, args) -> int:
-    datasets, kernel, ref = _prepare_data(cfg, args)
+    datasets, kernel, sigma_source, ref = _prepare_data(cfg, args)
     params = _policy_from(cfg, args)
     cmp_cfg = _section(cfg, "compare", ("left", "right", "huber_gap"))
     by_id = {d.id: d for d in datasets}
@@ -315,7 +316,7 @@ def cmd_compare(cfg: dict, args) -> int:
     huber_gap = cmp_cfg.get("huber_gap", NUMBER, None)
     report = compare(kernel, params, left, right, ref, huber_gap=huber_gap, threads=args.threads)
     resolved = _provenance(
-        args, kernel, ref=ref.kind.value,
+        args, kernel, sigma_source, ref=ref.kind.value,
         policy={"eps_bias": params.eps_bias, "eps_upsilon": params.eps_upsilon},
         huber_gap=huber_gap,
     )
@@ -338,7 +339,8 @@ def cmd_experiment(cfg: dict, args) -> int:
     if seed is None:
         raise InputError("--seed is required for experiments")
     econfig = ExperimentConfig(
-        name=name, n=n, trials=trials, seed=seed, kernel=_kernel_from(cfg, args, None), extra=extra
+        name=name, n=n, trials=trials, seed=seed, kernel=_kernel_from(cfg, args, None)[0],
+        extra=extra,
     )
     report = run(econfig, timing=args.timing)
     if args.format == "csv":
@@ -388,14 +390,16 @@ def _note_provenance(resolved: dict):
     print(f"resolved configuration: {json.dumps(resolved)}", file=sys.stderr)
 
 
-def _provenance(args, kernel: KernelConfig | None, **extra) -> dict:
+def _provenance(
+    args, kernel: KernelConfig | None, sigma_source: str | None = None, **extra
+) -> dict:
     out = {"seed": args.seed}
     for flag in ("threads", "format"):
         if hasattr(args, flag):
             out[flag] = getattr(args, flag)
     out["config_path"] = args.config
     if kernel is not None:
-        out["kernel"] = {"sigma": kernel.sigma}
+        out["kernel"] = {"sigma": kernel.sigma, "source": sigma_source}
     out.update(extra)
     return out
 

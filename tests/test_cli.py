@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from distval import Dataset, InputError
+from distval import Dataset, InputError, median_heuristic
 from distval import cli
 from distval.cli import VendorManifest, ingest, main
 
@@ -434,6 +434,39 @@ def test_sigma_auto_resolves_from_data(tmp_path, vendor_files, capsys):
     assert out["resolved_config"]["kernel"]["sigma"] > 0
 
 
+_MEDIAN = "median of the pooled rows"
+
+
+@pytest.mark.parametrize("command", ["value", "rank", "compare"])
+@pytest.mark.parametrize(
+    "kernel_section, flags, source",
+    [
+        ({"sigma": 1.0}, ["--sigma", "0.5"], "flag"),
+        ({"sigma": 0.5}, [], "config"),
+        ({"sigma": "auto"}, [], _MEDIAN),
+        ({}, [], _MEDIAN),
+        ({"sigma": 0.5}, ["--sigma", "auto"], _MEDIAN),
+    ],
+    ids=["flag", "config", "config-auto", "default-auto", "flag-auto"],
+)
+def test_resolved_kernel_says_where_sigma_came_from(
+    tmp_path, vendor_files, capsys, command, kernel_section, flags, source
+):
+    cfg = _config(
+        tmp_path, vendor_files, kernel=kernel_section,
+        policy={"eps_bias": 0.1}, compare={"left": "a", "right": "b"},
+    )
+    assert main([command, "--config", str(cfg), *flags]) == 0
+    kernel_echo = json.loads(capsys.readouterr().out)["resolved_config"]["kernel"]
+    assert kernel_echo["source"] == source
+    if source == _MEDIAN:
+        _, a, b, ref = vendor_files
+        pooled = np.concatenate([np.loadtxt(f, delimiter=",") for f in (a, b, ref)])
+        assert kernel_echo["sigma"] == median_heuristic(Dataset("pooled", pooled))
+    else:
+        assert kernel_echo["sigma"] == 0.5
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "distval.cli", "verify-game", "--seed", "1"],
@@ -499,7 +532,7 @@ def test_compare_resolved_config_echoes_only_its_flags(tmp_path, vendor_files, c
     assert main(["compare", "--config", str(cfg), "--eps-bias", "0.1"]) == 0
     resolved = json.loads(capsys.readouterr().out)["resolved_config"]
     assert "format" not in resolved
-    assert resolved["kernel"] == {"sigma": 1.0}
+    assert resolved["kernel"] == {"sigma": 1.0, "source": "config"}
 
 
 @pytest.mark.parametrize(

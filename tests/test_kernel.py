@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -188,6 +189,47 @@ def test_median_heuristic_is_bit_identical_to_the_median_of_every_pair(pts):
             median_heuristic(Dataset("p", pts))
     else:
         assert median_heuristic(Dataset("p", pts)) == expected
+
+
+# 999 rows give an odd pair count (498,501) and 1,000 an even one (499,500).
+@pytest.mark.parametrize("n", [999, 1000])
+@pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "lattice"])
+def test_median_heuristic_row_blocks_are_bit_identical_to_the_median_of_every_pair(n, lattice):
+    rng = np.random.default_rng(n)
+    if lattice:
+        pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+    else:
+        pts = rng.normal(size=(n, 3))
+    expected = _median_of_every_pair(pts)
+    assert expected > 0.0
+    # 7 rows per block: 142 full blocks and a partial last one of 5 or 6 rows
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 7 * n):
+        assert median_heuristic(Dataset("p", pts)) == expected
+
+
+def test_median_heuristic_lower_middle_is_the_max_below_the_partition():
+    # A partition at the upper middle leaves the lower middle value at index
+    # half - 1 for most inputs, but not for all; with numpy 2.4 it does not
+    # for this pool's 780 pairs, so reading that index would be caught here.
+    pts = np.random.default_rng(61).normal(size=(40, 2))
+    assert median_heuristic(Dataset("p", pts)) == _median_of_every_pair(pts)
+
+
+def test_median_heuristic_memory_stays_within_its_pairs_and_one_block():
+    m, d = 10_000, 8
+    pool = Dataset("p", np.random.default_rng(4).normal(size=(m, d)))
+    n = kernel._MEDIAN_CAP
+    # 8-byte values: the n(n-1)/2 squared distances, one row block of the
+    # distance matrix, the subsample's rows and their centred copy, the pool's
+    # permutation, and 1 MiB for numpy's and the interpreter's small temporaries.
+    bound = 8 * (n * (n - 1) // 2 + kernel._BLOCK_ENTRIES + 2 * n * d + m) + 2**20
+    tracemalloc.start()
+    try:
+        median_heuristic(pool)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound < 8_000_000
 
 
 def test_threads_env_fallback():
