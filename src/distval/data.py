@@ -1,6 +1,8 @@
 """Core data containers: vendor sample datasets and finite-support distributions."""
 from __future__ import annotations
 
+import itertools
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -44,17 +46,26 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[first], inverse, counts
 
 
-def _find_rows(atoms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _find_rows(atoms: np.ndarray, rows: np.ndarray, bounds=None) -> np.ndarray:
     """For each of `rows`, the index of the atom equal to it, or -1, where
-    `atoms` is `_distinct_rows`'s first output. Rows match under ==, so -0.0
+    `atoms` is `_distinct_rows`'s first output, or several of them stacked
+    with `bounds` the indices at which they start and the end; a row is then
+    found in the first part that holds it. Rows match under ==, so -0.0
     matches 0.0."""
     # A record of float fields compares field by field as numbers: the atoms'
     # lexicographic order, in which a binary search finds each row.
     rec = np.dtype([("", float)] * atoms.shape[1])
-    keys = atoms.view(rec).reshape(-1)
-    at = np.searchsorted(keys, rows.view(rec).reshape(-1))
-    at = np.minimum(at, len(keys) - 1)
-    return np.where((atoms[at] == rows).all(axis=1), at, -1)
+    queries = rows.view(rec).reshape(-1)
+    bounds = (0, len(atoms)) if bounds is None else bounds
+    idx = None
+    for lo, hi in zip(bounds, bounds[1:]):
+        at = np.searchsorted(atoms[lo:hi].view(rec).reshape(-1), queries)
+        at = np.minimum(at, hi - lo - 1) + lo
+        found = np.where((atoms[at] == rows).all(axis=1), at, -1)
+        idx = found if idx is None else np.where(idx >= 0, idx, found)
+        if hi < len(atoms) and (idx >= 0).all():
+            break
+    return idx
 
 
 @dataclass(frozen=True)
@@ -63,12 +74,17 @@ class Dataset:
 
     `points` is a read-only (m, d) float copy of the caller's finite array;
     row order is meaningful and preserved by every operation in this package.
-    The Gram self-sum of its `atoms` and their kernel mean embedding are kept
-    per kernel; the points are a read-only copy, so nothing kept can go stale.
+    A pooled sample is made of `parts`, the row counts of consecutive row
+    ranges (a uniform reference: one per vendor's subsample); a plain sample
+    is one part. The Gram self-sum of its atoms, their kernel mean embedding
+    and, when its parts are separate runs of the pass (`_part_atoms`), each
+    atom's row sum within its part are kept per kernel; the points are a
+    read-only copy, so nothing kept can go stale.
     """
 
     id: str
     points: np.ndarray
+    parts: tuple[int, ...] = ()
     _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,7 +95,14 @@ class Dataset:
             raise InputError(f"dataset {self.id!r}: points must be a nonempty (m, d) array")
         if not np.isfinite(pts).all():
             raise InputError(f"dataset {self.id!r}: points must be finite (no NaN or inf)")
+        parts = tuple(map(operator.index, self.parts)) or (len(pts),)
+        if min(parts) < 1 or sum(parts) != len(pts):
+            raise InputError(
+                f"dataset {self.id!r}: parts must be positive row counts summing to"
+                f" {len(pts)}, got {parts}"
+            )
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "parts", parts)
 
     @property
     def dim(self) -> int:
@@ -89,18 +112,28 @@ class Dataset:
         return self.points.shape[0]
 
     def embedding(
-        self, cfg: KernelConfig, compute: Callable[[], tuple[float, np.ndarray]]
-    ) -> tuple[float, np.ndarray]:
-        """The atoms' Gram self-sum w^T K(U, U) w under kernel `cfg` and their
-        kernel mean embedding g = K(U, U) w, from `compute()` on first use only."""
+        self, cfg: KernelConfig, compute: Callable[[], tuple]
+    ) -> tuple[float, np.ndarray, np.ndarray | None]:
+        """The Gram self-sum w^T K(U, U) w of `_part_atoms` under kernel
+        `cfg`, their kernel mean embedding g = K(U, U) w and, when the parts
+        are separate runs, each atom's weighted row sum over the atoms after
+        it in its own part (else None), from `compute()` on first use only."""
         if cfg not in self._embeddings:
-            s, g = compute()
-            g.flags.writeable = False
-            self._embeddings[cfg] = (s, g)
+            s, g, part_rows = compute()
+            for kept in (g, part_rows):
+                if kept is not None:
+                    kept.flags.writeable = False
+            self._embeddings[cfg] = (s, g, part_rows)
         return self._embeddings[cfg]
 
     # cached_property writes the instance __dict__, not through __setattr__,
     # so it works on a frozen dataclass.
+    @cached_property
+    def _distinct(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows, inverse, counts = _distinct_rows(self.points)
+        rows.flags.writeable = False
+        return rows, inverse, _frozen_copy(counts)
+
     @cached_property
     def atoms(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct rows (sorted) and their counts as float weights.
@@ -109,9 +142,32 @@ class Dataset:
         measure of the atoms, so a sum over all row pairs equals the weighted
         sum over atom pairs.
         """
-        rows, _, counts = _distinct_rows(self.points)
-        rows.flags.writeable = False
-        return rows, _frozen_copy(counts)
+        rows, _, counts = self._distinct
+        return rows, counts
+
+    @cached_property
+    def _part_atoms(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+        """The atoms in the order the Gram pass takes them, their weights, and
+        the atom indices at which the parts start, and the number of atoms.
+
+        When no row is in two parts, that is each part's own atoms (sorted) in
+        part order, so each part is one run of the pass. Otherwise, as for a
+        single part, it is `atoms` as one run: lattice parts share most of
+        their rows, and one run keeps each of them one atom.
+        """
+        rows, inverse, counts = self._distinct
+        if len(self.parts) > 1:
+            part = np.repeat(np.arange(len(self.parts)), self.parts)
+            owner = np.empty(len(rows), dtype=np.intp)
+            owner[inverse] = part  # the part of one of each atom's rows
+            if (owner[inverse] == part).all():  # no row in two parts
+                # by part, and sorted within each part
+                at = np.argsort(owner, kind="stable")
+                own_rows, own_counts = rows[at], counts[at]
+                own_rows.flags.writeable = own_counts.flags.writeable = False
+                sizes = np.bincount(owner, minlength=len(self.parts)).tolist()
+                return own_rows, own_counts, tuple(itertools.accumulate(sizes, initial=0))
+        return rows, counts, (0, len(rows))
 
 
 @dataclass(frozen=True)

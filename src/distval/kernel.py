@@ -11,10 +11,16 @@ centring keeps the expanded quadratic from cancelling away the precision of
 points far from the origin. A self-sum (both sides equal by content)
 evaluates only the upper triangle, since K(X, X) is symmetric with a unit
 diagonal; the same pass also gives the kernel mean embedding K(X, X) w from
-the triangle's row and column sums. Results are identical for any worker
-count: the blocks depend only on the input sizes, each row is reduced on its
-own, the column sums are added in block order on the calling thread, and
-the weighted per-row sums are combined exactly in index order.
+the triangle's row and column sums, and, for rows made of consecutive
+parts, each row's sum within its own part (one extra row sum per block and
+part), from which each part's own self-sum follows.
+The blocks are grouped into at most 8 chunks of about equal entries; each
+chunk reuses one block buffer, and the calling thread takes chunks
+alongside threads - 1 pool workers. Results are identical for any worker
+count: the blocks and chunks depend only on the input sizes, each row is
+reduced on its own, each chunk adds its column sums in block order, the
+chunks' partials are added in chunk order on the calling thread, and the
+weighted per-row sums are combined exactly in index order.
 
 The bandwidth heuristic (`median_heuristic`) walks the same row blocks to
 fill one array with the n(n-1)/2 squared pairwise distances, so it never
@@ -23,6 +29,7 @@ median.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import sys
@@ -41,6 +48,11 @@ _BLOCK_ENTRIES = 262_144
 # The largest half squared norm a lifted row may have: it keeps every partial
 # sum of a lifted product within 2^1023, half the float64 range.
 _LIFT_MAX = 2.0**1021
+
+# Row blocks are grouped into at most this many chunks of about equal kernel
+# entries; each chunk allocates one block buffer and reuses it for every block.
+# The count never depends on the thread count, so neither do the bits.
+_CHUNKS = 8
 
 # Rows the bandwidth heuristic subsamples (with seed 0) from a larger pool.
 _MEDIAN_CAP = 1000
@@ -171,12 +183,67 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
+def _chunk_plan(m: int, n: int, rows: int, symmetric: bool) -> list[list[int]]:
+    """The starts of the row blocks of K(X, Y), grouped into at most _CHUNKS
+    runs of consecutive blocks with about equal kernel entries each.
+
+    A block joins the chunk in which its first entry falls. The plan depends
+    only on the input sizes, so neither the thread count nor the order in
+    which workers take the chunks can change a bit.
+    """
+    if m <= rows:
+        return [[0]]
+    los = range(0, m, rows)
+    entries = [(min(lo + rows, m) - lo) * (n - lo if symmetric else n) for lo in los]
+    total, before = max(1, sum(entries)), 0
+    chunks: dict[int, list[int]] = {}
+    for lo, e in zip(los, entries):
+        chunks.setdefault(before * _CHUNKS // total, []).append(lo)
+        before += e
+    return list(chunks.values())
+
+
+def _drain(work, count: int, threads: int) -> None:
+    """work(k) for every k < count, taken in order by the calling thread and
+    by up to threads - 1 pool workers alongside it; one chunk starts no pool."""
+    workers = min(threads, count) - 1
+    if workers < 1:
+        for k in range(count):
+            work(k)
+        return
+    todo = iter(range(count))
+    lock = threading.Lock()
+
+    def take():
+        while True:
+            with lock:
+                k = next(todo, None)
+            if k is None:
+                return
+            work(k)
+
+    futures = [_pool(workers).submit(take) for _ in range(workers)]
+    try:
+        take()
+    finally:
+        # A task still queued behind other callers' work would find no chunk
+        # left, so it is cancelled; one that started is waited for.
+        for f in futures:
+            if not f.cancel():
+                f.result()
+
+
+def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool, bounds=None):
     """Each row's weighted sum over the row blocks of K(X, Y).
 
     r_i = sum_j k(x_i, y_j) wy_j; when `symmetric` (Y is X) only j > i, and
-    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j), each block's
-    weighted column sums added in block order.
+    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j). The blocks
+    are grouped into chunks (`_chunk_plan`); each chunk reuses one block
+    buffer and adds its blocks' weighted column sums, in block order, into
+    its own partial, and the partials are added in chunk order. With
+    `bounds` (symmetric only: the row indices at which consecutive parts
+    start, and the end) the third result is each row's sum over the columns
+    to its right within its own part; it is None for a single part.
     """
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
@@ -188,49 +255,75 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool):
     # Zeroes the diagonal and lower triangle of a block's leading square.
     lower = np.tri(min(rows, m), dtype=bool) if symmetric else None
     row_sums = np.empty(m)
-    col_sums = np.zeros(n) if symmetric else None
+    own = np.empty(m) if bounds is not None and len(bounds) > 2 else None
+    chunks = _chunk_plan(m, n, rows, symmetric)
+    col_parts = [None] * len(chunks)
 
-    def block(lo: int, hi: int):
-        c0 = lo if symmetric else 0
-        buf = np.empty((hi - lo, n - c0))
-        _gram_block(A[lo:hi], B[c0:], buf)
+    def chunk(k: int):
+        first = chunks[k][0]
+        c_first = first if symmetric else 0
+        space = np.empty(min(rows, m - first) * (n - c_first))
         cols = None
-        if symmetric:
-            buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-            cols = wy[lo:hi] @ buf
-        if not unit_wy:
-            buf *= wy[c0:]
-        buf.sum(axis=1, out=row_sums[lo:hi])
-        return cols
+        for lo in chunks[k]:
+            hi = min(lo + rows, m)
+            c0 = lo if symmetric else 0
+            buf = space[: (hi - lo) * (n - c0)].reshape(hi - lo, n - c0)
+            _gram_block(A[lo:hi], B[c0:], buf)
+            if symmetric:
+                buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+                block_cols = wy[lo:hi] @ buf
+                if cols is None:
+                    cols = block_cols
+                else:
+                    cols[lo - first :] += block_cols
+            if not unit_wy:
+                buf *= wy[c0:]
+            buf.sum(axis=1, out=row_sums[lo:hi])
+            if own is not None:
+                # each part's rows in this block, over that part's columns
+                p = bisect.bisect_right(bounds, lo) - 1
+                while bounds[p] < hi:
+                    r0, r1, end = max(bounds[p], lo), min(bounds[p + 1], hi), bounds[p + 1]
+                    buf[r0 - lo : r1 - lo, r0 - lo : end - lo].sum(axis=1, out=own[r0:r1])
+                    p += 1
+        col_parts[k] = cols
 
-    los = range(0, m, rows)
-    his = [min(lo + rows, m) for lo in los]
-    # At most one worker per block. Executor.map yields the results in block
-    # order on the calling thread and drops each one once it is taken.
-    workers = min(threads, len(los))
-    results = map(block, los, his) if workers <= 1 else _pool(workers).map(block, los, his)
-    for lo, cols in zip(los, results):
-        if symmetric:
-            col_sums[lo:] += cols
-    return row_sums, col_sums
+    _drain(chunk, len(chunks), threads)
+    col_sums = col_parts[0]
+    if symmetric:
+        # the first chunk starts at row 0, so its partial spans every column
+        for los, cols in zip(chunks[1:], col_parts[1:]):
+            col_sums[los[0] :] += cols
+    return row_sums, col_sums, own
+
+
+def _triangle_sum(w: np.ndarray, r: np.ndarray) -> float:
+    """sum_i w_i^2 + 2 sum_i w_i r_i, exactly: the self-sum w^T K(X, X) w of
+    rows whose weighted sums over the columns to their right are r; k(x, x) = 1
+    exactly, so the diagonal contributes w_i^2."""
+    return math.fsum(np.concatenate((w * w, 2.0 * w * r)).tolist())
 
 
 def _self_sum_and_embedding(
-    cfg: KernelConfig, X: np.ndarray, w: np.ndarray, threads: int = 1
-) -> tuple[float, np.ndarray]:
-    """w^T K(X, X) w, and the kernel mean embedding g = K(X, X) w at the rows.
+    cfg: KernelConfig, X: np.ndarray, w: np.ndarray, threads: int = 1, bounds=None
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    """w^T K(X, X) w, the kernel mean embedding g = K(X, X) w at the rows,
+    and, for rows made of consecutive parts, each row's weighted sum over the
+    columns to its right within its own part.
 
-    One upper-triangle pass gives both. The sum is taken as
-    sum_i w_i^2 + 2 sum_i w_i r_i with r_i = sum_{j>i} w_j k(x_i, x_j), and
+    One upper-triangle pass gives all three. The sum is taken as
+    `_triangle_sum(w, r)` with r_i = sum_{j>i} w_j k(x_i, x_j), and
     g = w + r + c, where c_j = sum_{i<j} w_i k(x_i, x_j) are the triangle's
-    weighted column sums. Both are bit-identical for any worker count.
+    weighted column sums. `bounds` holds the row indices at which the parts
+    start, and the end; each part costs one extra row sum per block, over
+    its own columns, and `_triangle_sum` of a part's weights and its rows'
+    sums is the part's own self-sum. For one part (or None) the third result
+    is None. All are bit-identical for any worker count.
     """
-    r, c = _reduce_blocks(cfg, X, X, w, threads, symmetric=True)
-    # k(x, x) = 1 exactly, so the diagonal contributes w_i^2 to the sum and w_i to g.
-    s = math.fsum(np.concatenate((w * w, 2.0 * w * r)).tolist())
+    r, c, own = _reduce_blocks(cfg, X, X, w, threads, symmetric=True, bounds=bounds)
     g = w + r
     g += c
-    return s, g
+    return _triangle_sum(w, r), g, own
 
 
 def weighted_gram_sum(

@@ -11,9 +11,14 @@ embedding at those rows, g = K(U, U) w, come from one upper-triangle pass,
 once per kernel, and are kept on it. A cross sum against a sample that holds
 the other's rows then reads g there (MMD is the RKHS distance between mean
 embeddings, Gretton et al. 2012, Lemma 6), and only rows it does not hold
-cost kernel entries. Two pmfs enter as one signed measure, p - q on the
-union of their supports, whose MMD is the square root of one quadratic
-form (`signed_mmd`).
+cost kernel entries. A pooled sample (a uniform reference) whose parts
+share no row runs that pass over its parts, each deduplicated on its own,
+and also keeps each row's sum within its part. A sample equal to one of its
+parts then needs no pass of its own: its self-sum comes from those row
+sums, and its cross sum is the part's w^T g. Parts that share rows (lattice
+data) are pooled into one run, so no row costs twice. Two pmfs enter as one
+signed measure, p - q on the union of their supports, whose MMD is the
+square root of one quadratic form (`signed_mmd`).
 """
 from __future__ import annotations
 
@@ -23,41 +28,71 @@ import numpy as np
 
 from .data import Dataset, DiscretePmf, _find_rows, check_same_dim, on_union_support
 from .errors import InputError
-from .kernel import KernelConfig, _self_sum_and_embedding, weighted_gram_sum
+from .kernel import KernelConfig, _self_sum_and_embedding, _triangle_sum, weighted_gram_sum
 
 
-def _embedding(cfg: KernelConfig, D: Dataset, threads: int) -> tuple[float, np.ndarray]:
-    return D.embedding(cfg, lambda: _self_sum_and_embedding(cfg, *D.atoms, threads))
+def _embedding(
+    cfg: KernelConfig, D: Dataset, threads: int
+) -> tuple[float, np.ndarray, np.ndarray | None]:
+    x, w, bounds = D._part_atoms
+    return D.embedding(cfg, lambda: _self_sum_and_embedding(cfg, x, w, threads, bounds))
+
+
+def _equal_part(D: Dataset, S: Dataset) -> int | None:
+    """The index of a part of pooled D whose atoms and weights equal S's,
+    when D's parts are separate runs of its pass. A pass of one run keeps no
+    part row sums, and a single part is all of D, which the equal-content
+    route already took."""
+    (xd, wd, b), (x, w) = D._part_atoms, S.atoms
+    if len(b) > 2:
+        for p, (lo, hi) in enumerate(zip(b, b[1:])):
+            # equal weights sum to equal row counts, which rules most parts out
+            if D.parts[p] != len(S):
+                continue
+            if np.array_equal(xd[lo:hi], x) and np.array_equal(wd[lo:hi], w):
+                return p
+    return None
 
 
 def _sums(
     cfg: KernelConfig, A: Dataset, B: Dataset, threads: int = 1
 ) -> tuple[float, float, float]:
-    """Self-sums of A and B (each kept on its input) and their cross sum.
+    """Self-sums of A and B and their cross sum.
 
     The cross sum works from the kept embedding g of the input with more
-    atoms (B's on a tie): an atom of the other input that is also one of its
-    atoms adds w_i g[idx], and only the atoms not found there go through a
-    Gram sum against it, in the A-rows, B-columns orientation.
+    atoms (B's on a tie). When the other input equals one of its parts, its
+    self-sum is that part's and its cross sum adds up w_i g_i over the part:
+    no kernel entries of its own. Otherwise its self-sum is kept on it, an
+    atom of it that is also one of the larger input's atoms adds w_i g[idx],
+    and only the atoms not found there go through a Gram sum against it, in
+    the A-rows, B-columns orientation.
     """
-    s_aa, _ = _embedding(cfg, A, threads)
-    s_bb, _ = _embedding(cfg, B, threads)
     (xa, wa), (xb, wb) = A.atoms, B.atoms
     if A is B or (np.array_equal(xa, xb) and np.array_equal(wa, wb)):
+        s_aa, s_bb = _embedding(cfg, A, threads)[0], _embedding(cfg, B, threads)[0]
         return s_aa, s_bb, s_aa  # the self route, as weighted_gram_sum takes it
     a_small = len(xa) <= len(xb)
-    x, w, big = (xa, wa, B) if a_small else (xb, wb, A)
-    idx = _find_rows(big.atoms[0], x)
-    found = idx >= 0
-    g = _embedding(cfg, big, threads)[1]
-    terms = (w[found] * g[idx[found]]).tolist()
-    if not found.all():
-        xr, wr = x[~found], w[~found]
-        if a_small:
-            terms.append(weighted_gram_sum(cfg, xr, wr, xb, wb, threads))
-        else:
-            terms.append(weighted_gram_sum(cfg, xa, wa, xr, wr, threads))
-    return s_aa, s_bb, math.fsum(terms)
+    x, w, small, big = (xa, wa, A, B) if a_small else (xb, wb, B, A)
+    s_big, g, part_rows = _embedding(cfg, big, threads)
+    xp, _, bounds = big._part_atoms
+    p = _equal_part(big, small)
+    if p is not None:
+        lo, hi = bounds[p : p + 2]
+        s_small = _triangle_sum(w, part_rows[lo:hi])
+        cross = math.fsum((w * g[lo:hi]).tolist())
+    else:
+        s_small = _embedding(cfg, small, threads)[0]
+        idx = _find_rows(xp, x, bounds)
+        found = idx >= 0
+        terms = (w[found] * g[idx[found]]).tolist()
+        if not found.all():
+            xr, wr = x[~found], w[~found]
+            if a_small:
+                terms.append(weighted_gram_sum(cfg, xr, wr, xb, wb, threads))
+            else:
+                terms.append(weighted_gram_sum(cfg, xa, wa, xr, wr, threads))
+        cross = math.fsum(terms)
+    return (s_small, s_big, cross) if a_small else (s_big, s_small, cross)
 
 
 def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int = 1) -> float:

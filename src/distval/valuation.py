@@ -47,13 +47,20 @@ def build_uniform_reference(datasets: list[Dataset], seed: int) -> Reference:
     """Equal-weight reference: per-vendor subsamples of the minimum size, concatenated.
 
     Each vendor contributes a seeded uniform subsample (without replacement) of
-    size m_min = min_i |D_i|; the reference is their union, size n * m_min.
+    size m_min = min_i |D_i|; the reference is their union, size n * m_min,
+    with the subsamples as its parts in vendor order. When the parts share no
+    row, a vendor of m_min rows is its own part, so its sums come from the
+    reference's single pass.
     """
     _common_dim(datasets)
     m_min = min(len(d) for d in datasets)
     rng = np.random.default_rng(seed)
     parts = [d.points[rng.permutation(len(d))[:m_min]] for d in datasets]
-    data = Dataset(id="uniform-reference", points=np.concatenate(parts, axis=0))
+    data = Dataset(
+        id="uniform-reference",
+        points=np.concatenate(parts, axis=0),
+        parts=(m_min,) * len(parts),
+    )
     return Reference(kind=ReferenceKind.UNIFORM, data=data)
 
 

@@ -11,6 +11,7 @@ from distval import (
     InputError,
     KernelConfig,
     MixtureWeights,
+    build_uniform_reference,
     mix_pmfs,
     mmd_biased,
 )
@@ -63,6 +64,49 @@ def test_atoms_are_distinct_rows_with_counts():
     assert rows.tolist() == [[1.0, 5.0], [2.0, 0.0]]
     assert counts.tolist() == [1.0, 3.0]
     assert counts.sum() == len(d)
+
+
+def test_parts_that_share_no_row_are_runs_of_their_own_atoms():
+    # deduplicated within each part; `atoms` stays the sorted distinct rows
+    pts = [[1.0], [0.0], [1.0], [2.0], [3.0], [2.0]]
+    d = Dataset("d", pts, parts=(3, 3))
+    assert d.atoms[0].ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
+    rows, counts, bounds = d._part_atoms
+    assert rows.ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert counts.tolist() == [1.0, 2.0, 2.0, 1.0]
+    assert bounds == (0, 2, 4)
+    d = Dataset("d", pts[3:] + pts[:3], parts=(3, 3))
+    rows, counts, bounds = d._part_atoms
+    assert rows.ravel().tolist() == [2.0, 3.0, 0.0, 1.0]
+    assert counts.tolist() == [2.0, 1.0, 1.0, 2.0]
+    assert bounds == (0, 2, 4)
+    # a lookup searches part by part
+    queries = np.array([[1.0], [2.0], [5.0]])
+    assert _find_rows(rows, queries, bounds).tolist() == [3, 0, -1]
+    for bad in [(3, 4), (6, 0), (7, -1), (5,)]:
+        with pytest.raises(InputError, match="parts must be positive row counts summing to 6"):
+            Dataset("d", pts, parts=bad)
+
+
+def test_parts_that_share_a_row_are_one_run():
+    pts = [[1.0], [0.0], [1.0], [2.0], [-0.0]]
+    d = Dataset("d", pts, parts=(3, 2))
+    rows, counts = d.atoms
+    assert d._part_atoms == (rows, counts, (0, 3))
+    plain = Dataset("d", pts)
+    assert plain.parts == (5,) and plain._part_atoms[2] == (0, 3)
+
+
+def test_pooled_uniform_reference_resamples_through_its_atoms():
+    # lattice vendors share rows; the reference's atoms are still pairwise
+    # distinct, so its empirical pmf is a valid DiscretePmf
+    rng = np.random.default_rng(3)
+    vendors = [Dataset(f"v{i}", rng.integers(0, 5, size=(30, 2))) for i in range(3)]
+    ref = build_uniform_reference(vendors, seed=1).data
+    rows, counts = ref.atoms
+    pmf = DiscretePmf(rows, counts / len(ref))
+    assert len(pmf.support) == len(np.unique(ref.points, axis=0)) < len(ref)
+    assert np.array_equal(rows, Dataset("plain", ref.points).atoms[0])
 
 
 @given(

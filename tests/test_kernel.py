@@ -232,6 +232,24 @@ def test_median_heuristic_memory_stays_within_its_pairs_and_one_block():
     assert peak < bound < 8_000_000
 
 
+def test_self_sum_memory_stays_within_one_buffer_per_worker():
+    m, d, threads = 10_000, 8, 2
+    X, w = np.random.default_rng(5).normal(size=(m, d)), np.ones(m)
+    # 8-byte values: the two lifted (m, d + 2) arrays, one block buffer per
+    # worker in flight (the calling thread and threads - 1 pool workers), a
+    # column partial of at most m values per chunk, and 1 MiB for the row
+    # sums, the embedding and numpy's and the interpreter's small temporaries.
+    bound = 8 * (2 * m * (d + 2) + threads * kernel._BLOCK_ENTRIES + kernel._CHUNKS * m) + 2**20
+    kernel._self_sum_and_embedding(CFG, X, w, threads)  # starts the pool outside the trace
+    tracemalloc.start()
+    try:
+        kernel._self_sum_and_embedding(CFG, X, w, threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_threads_env_fallback():
     with pytest.raises(InputError, match="threads must be >= 1"):
         gram_sum(CFG, ds([0.0]), ds([1.0]), threads=0)
@@ -289,10 +307,10 @@ def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
         got = [kernel._self_sum_and_embedding(cfg, X, w, threads=t) for t in (1, 2, 4)]
         # the same block plan: bits depend on the block size, not the route
         self_sum = weighted_gram_sum(cfg, X, w, X, w)
-    s, g = got[0]
+    s, g, _ = got[0]
     np.testing.assert_allclose(g, dense, rtol=1e-13, atol=0)
     assert s == self_sum
-    for s_t, g_t in got[1:]:
+    for s_t, g_t, _ in got[1:]:
         assert s_t == s and g_t.tobytes() == g.tobytes()
 
 
@@ -319,11 +337,14 @@ def test_tiny_blocks_agree_with_default_block_size(same):
 def test_pool_never_larger_than_the_block_count():
     rng = np.random.default_rng(16)
     X, w = rng.normal(size=(3, 2)), np.ones(3)
+    # the calling thread takes chunks too: at most min(threads, chunks) - 1 pool workers
     with mock.patch.dict(kernel._POOLS, clear=True), mock.patch.object(kernel, "_BLOCK_ENTRIES", 3):
-        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks
-        assert set(kernel._POOLS) == {3}
-        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one block runs serially
-        assert set(kernel._POOLS) == {3}
+        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one chunk starts no pool
+        assert set(kernel._POOLS) == set()
+        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks, 3 chunks
+        assert set(kernel._POOLS) == {2}
+        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=2)
+        assert set(kernel._POOLS) == {1, 2}
 
 
 def test_concurrent_callers_share_the_pool_safely():
@@ -476,7 +497,7 @@ def test_lifted_blocks_bit_identical_across_threads(symmetric):
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 2000):
         if symmetric:
             got = [kernel._self_sum_and_embedding(cfg, X, wx, threads=t) for t in (1, 2, 4)]
-            got = [(s, g.tobytes()) for s, g in got]
+            got = [(s, g.tobytes()) for s, g, _ in got]
         else:
             got = [weighted_gram_sum(cfg, X, wx, Y, wy, threads=t) for t in (1, 2, 4)]
     assert got[0] == got[1] == got[2]

@@ -26,7 +26,7 @@ from distval import (
 )
 from distval.data import _find_rows
 from distval.kernel import weighted_gram_sum
-from distval.mmd import _sums
+from distval.mmd import _embedding, _equal_part, _sums
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -335,3 +335,86 @@ def test_biased_and_bandwidth_invariant_under_translation(shift, data):
     (sigma0, base), (sigma, moved) = scored(0.0), scored(shift)
     assert sigma == pytest.approx(sigma0, rel=1e-12)
     assert moved**2 == pytest.approx(base**2, abs=1e-12)
+
+
+# A uniform reference keeps its vendors' subsamples as parts. When they share
+# no row, a vendor whose atoms equal a part's reads its self-sum and cross sum
+# from the reference's one triangle pass; the same rows as a plain sample take
+# the lookup route. Parts that share rows are one run and take that route too.
+
+
+def _market(seed, dim, kind, sizes):
+    rng = np.random.default_rng(seed)
+    if kind == "continuous":
+        draw = [rng.normal(i, 1.0, size=(m, dim)) for i, m in enumerate(sizes)]
+    else:  # a few values each, repeated within a vendor; shared across them or not
+        shift = 0 if kind == "lattice-shared" else 10
+        draw = [rng.integers(0, 4, size=(m, dim)) + shift * i for i, m in enumerate(sizes)]
+    return [Dataset(f"v{i}", x) for i, x in enumerate(draw)]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "lattice-own", "lattice-shared"])
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 3),
+    sizes=st.lists(st.integers(1, 25), min_size=2, max_size=5),
+)
+@settings(max_examples=60, deadline=None)
+def test_part_route_matches_the_lookup_route_across_threads(kind, seed, dim, sizes):
+    got = []
+    # a tiny block size splits the reference into many blocks and chunks
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 16):
+        for threads in (1, 2, 4):
+            # fresh datasets, so that no thread count reads another's kept sums
+            vendors = _market(seed, dim, kind, sizes)
+            ref = build_uniform_reference(vendors, seed=5).data
+            plain = Dataset("plain", ref.points)
+            assert ref.parts == (min(sizes),) * len(sizes)
+            runs = len(ref._part_atoms[2]) - 1
+            shared = len(np.unique(ref.points, axis=0)) < sum(
+                len(np.unique(ref.points[lo : lo + min(sizes)], axis=0))
+                for lo in range(0, len(ref), min(sizes))
+            )
+            assert runs == (1 if shared else len(sizes))
+            if kind != "lattice-shared":
+                assert not shared
+            sums = []
+            for v in vendors:
+                part_route = not shared and len(v) == min(sizes)
+                assert (_equal_part(ref, v) is not None) == part_route
+                part = _sums(CFG, v, ref, threads)
+                lookup = _sums(CFG, Dataset(v.id, v.points), plain, threads)
+                np.testing.assert_allclose(part, lookup, rtol=1e-13, atol=0)
+                # squared, and bounded by the sums' 1e-13: near MMD = 0 the
+                # square root magnifies the radicand's rounding
+                m, n = len(v), len(ref)
+                terms = (lookup[0] / m**2, lookup[1] / n**2, 2 * abs(lookup[2]) / (m * n))
+                value = mmd_biased(CFG, v, ref, threads)
+                drift = abs(value**2 - mmd_biased(CFG, v, plain, threads) ** 2)
+                assert drift <= 1e-13 * sum(terms) + 1e-15
+                sums.append(part)
+            got.append(sums)
+    assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("kind", ["continuous", "lattice-own"])
+def test_part_sums_bit_identical_across_threads(kind):
+    # 5 parts of 37 rows in blocks of a few rows, grouped into 8 chunks: the
+    # parts straddle block boundaries
+    got = []
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
+        for threads in (1, 2, 4):
+            vendors = _market(31, 3, kind, [37] * 5)
+            ref = build_uniform_reference(vendors, seed=5).data
+            bounds = ref._part_atoms[2]
+            n, rows = bounds[-1], 1000 // bounds[-1]
+            assert len(bounds) == 6
+            assert len(kernel._chunk_plan(n, n, rows, True)) == kernel._CHUNKS
+            assert any(b % rows for b in bounds[1:-1])
+            s, g, part_rows = _embedding(CFG, ref, threads)
+            sums = [_sums(CFG, v, ref, threads) for v in vendors]
+            got.append((s, g.tobytes(), part_rows.tobytes(), sums))
+    assert got[0] == got[1] == got[2]
+    # each part's self-sum is its vendor's own, within rounding
+    for v, (s_v, _, _) in zip(vendors, got[0][3]):
+        assert s_v == pytest.approx(weighted_gram_sum(CFG, *v.atoms, *v.atoms), rel=1e-13)

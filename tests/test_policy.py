@@ -245,10 +245,10 @@ def _count_self_sums(monkeypatch, data):
     calls = []
     real = distval.mmd._self_sum_and_embedding
 
-    def counting(cfg, X, w, threads=None):
+    def counting(cfg, X, w, *rest):
         if X is rows:
             calls.append(1)
-        return real(cfg, X, w, threads)
+        return real(cfg, X, w, *rest)
 
     monkeypatch.setattr(distval.mmd, "_self_sum_and_embedding", counting)
     return calls
@@ -281,15 +281,23 @@ def _triangle_entries(m, block_entries):
     return sum((min(lo + rows, m) - lo) * (m - lo) for lo in range(0, m, rows))
 
 
-@pytest.mark.parametrize("reference", ["uniform", "ground_truth"])
+@pytest.mark.parametrize(
+    "reference", ["uniform", "ground_truth", "uniform-compare", "uniform-larger"]
+)
 def test_rank_kernel_entries_match_the_block_plan(monkeypatch, reference):
     rng = np.random.default_rng(23)
     vendors = [Dataset(f"v{i}", rng.normal(i, 1.0, size=(40, 2))) for i in range(5)]
-    if reference == "uniform":
-        # every vendor row is in the reference: one 200-row triangle, five
-        # 40-row triangles, and no cross blocks
+    if reference == "uniform-larger":
+        vendors[0] = Dataset("v0", rng.normal(size=(60, 2)))
+    if reference.startswith("uniform"):
+        # each 40-row vendor is a part of the reference: its self-sum and
+        # cross sum come from the one 200-row triangle
         ref = build_uniform_reference(vendors, seed=5)
-        expected = _triangle_entries(200, 1000) + 5 * _triangle_entries(40, 1000)
+        expected = _triangle_entries(200, 1000)
+        if reference == "uniform-larger":
+            # the 60-row vendor keeps its own triangle, and its 20 rows
+            # outside its part are summed against the whole reference
+            expected += _triangle_entries(60, 1000) + 20 * 200
     else:
         # no vendor row is in the reference: five full 40 x 150 cross sums
         ref = _gt_ref(Dataset("gt", rng.normal(size=(150, 2))))
@@ -303,5 +311,8 @@ def test_rank_kernel_entries_match_the_block_plan(monkeypatch, reference):
 
     monkeypatch.setattr(kernel, "_BLOCK_ENTRIES", 1000)
     monkeypatch.setattr(kernel, "_gram_block", counting)
-    rank_vendors(CFG, vendors, ref)
+    if reference == "uniform-compare":
+        compare(CFG, PolicyParams(0.0, 0.1), vendors[0], vendors[1], ref)
+    else:
+        rank_vendors(CFG, vendors, ref)
     assert sum(entries) == expected
