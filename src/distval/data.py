@@ -3,17 +3,12 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-
-if TYPE_CHECKING:
-    from .kernel import KernelConfig
 
 PMF_SUM_TOL = 1e-12
 
@@ -78,8 +73,9 @@ class Dataset:
     ranges (a uniform reference: one per vendor's subsample); a plain sample
     is one part. The Gram self-sum of its atoms, their kernel mean embedding
     and, when its parts are separate runs of the pass (`_part_atoms`), each
-    atom's row sum within its part are kept per kernel; the points are a
-    read-only copy, so nothing kept can go stale.
+    atom's row sum within its part are kept per kernel in `_embeddings`
+    (`mmd._embedding` fills it); the points are a read-only copy, so nothing
+    kept can go stale.
     """
 
     id: str
@@ -110,21 +106,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.points.shape[0]
-
-    def embedding(
-        self, cfg: KernelConfig, compute: Callable[[], tuple]
-    ) -> tuple[float, np.ndarray, np.ndarray | None]:
-        """The Gram self-sum w^T K(U, U) w of `_part_atoms` under kernel
-        `cfg`, their kernel mean embedding g = K(U, U) w and, when the parts
-        are separate runs, each atom's weighted row sum over the atoms after
-        it in its own part (else None), from `compute()` on first use only."""
-        if cfg not in self._embeddings:
-            s, g, part_rows = compute()
-            for kept in (g, part_rows):
-                if kept is not None:
-                    kept.flags.writeable = False
-            self._embeddings[cfg] = (s, g, part_rows)
-        return self._embeddings[cfg]
 
     # cached_property writes the instance __dict__, not through __setattr__,
     # so it works on a frozen dataclass.

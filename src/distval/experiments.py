@@ -37,8 +37,9 @@ from .game import build_game, verify_minmax
 from .huber import (
     HuberSpec,
     MixtureWeights,
+    _lattice_draw,
+    _lattice_specs,
     huber_value_exact,
-    random_huber_population,
     random_pmf,
     sample_huber,
 )
@@ -135,6 +136,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not test(value):
                 raise InputError(f"experiment: {key} must be {what}, got {value!r}")
+        if self.name is ExperimentName.CORRELATION and self.n < 2:
+            # a Pearson correlation over the vendors needs two of them
+            raise InputError(f"experiment: n must be >= 2 for the correlation study, got {self.n}")
         extras = _EXTRA_DEFAULTS[self.name]
         section = Section(self.extra, "experiment.extra", extras)
         for key, (default, kind) in extras.items():
@@ -214,12 +218,10 @@ def summarize(rows: list[dict], skip: tuple[str, ...] = ("trial",)) -> dict:
 # correlation: exact values against the uniform-mixture reference
 
 
-def _population_rows(base: DiscretePmf, specs: list[HuberSpec]) -> np.ndarray:
-    """The realized pmfs (1 - eps_i) base + eps_i outlier_i as the rows of one
-    matrix over the support of a `random_huber_population`, which the base
-    and every outlier share."""
-    eps = np.array([[s.epsilon] for s in specs])
-    realized = (1.0 - eps) * base.probs + eps * np.array([s.outlier.probs for s in specs])
+def _realized(base: np.ndarray, eps: np.ndarray, outliers: np.ndarray) -> np.ndarray:
+    """The realized pmfs (1 - eps_i) base + eps_i outlier_i of a
+    `_lattice_draw`, one row per vendor."""
+    realized = (1.0 - eps[:, None]) * base + eps[:, None] * outliers
     return realized / realized.sum(axis=1, keepdims=True)
 
 
@@ -243,10 +245,11 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     for t in range(cfg.trials):
         (seed_pop,) = _trial_seeds(cfg.seed, t, 1)
-        base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seed_pop)
-        pmfs = _population_rows(base, specs)
-        true = -signed_mmd(cfg.kernel, base.support, pmfs - base.probs)
-        measured = -signed_mmd(cfg.kernel, base.support, pmfs - _uniform_mix(pmfs))
+        base, eps, outliers = _lattice_draw(seed_pop, cfg.n, ex["support_max"], ex["eps_max"])
+        pmfs = _realized(base, eps, outliers)
+        support = np.arange(len(base), dtype=float)[:, None]
+        true = -signed_mmd(cfg.kernel, support, pmfs - base)
+        measured = -signed_mmd(cfg.kernel, support, pmfs - _uniform_mix(pmfs))
         error = -true
         ids = tuple(f"v{i}" for i in range(cfg.n))
         try:
@@ -275,47 +278,26 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
 # convergence: sample-size sweep of the three ranking criteria
 
 
-def _population(n: int, ex: dict, seed: int):
-    """Population for sweep experiments, honouring the eps scheme. The random
-    scheme with one outlier per vendor makes `random_huber_population`'s
-    draws, in its order."""
-    rng = np.random.default_rng(seed)
-    support = np.arange(ex["support_max"] + 1, dtype=float)[:, None]
-    base = random_pmf(rng, support)
-    if ex["eps_scheme"] == "spaced":
-        eps = np.arange(n) / n
-    else:
-        eps = rng.uniform(0.0, ex["eps_max"], size=n)
-    if ex["shared_outlier"]:
-        outliers = [random_pmf(rng, support)] * n
-    else:
-        outliers = [random_pmf(rng, support) for _ in range(n)]
-    return base, [HuberSpec(float(e), base, q) for e, q in zip(eps, outliers)]
-
-
-def _values(kcfg: KernelConfig, datasets: list[Dataset], ref: Dataset) -> np.ndarray:
-    """Biased-MMD values against one reference; its self-sum is computed once."""
-    return np.array([-mmd_biased(kcfg, d, ref) for d in datasets])
-
-
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     """Sweep sample fractions and measure l2 / l_inf / inversions of the values
     at each size against the full-size values, all against one ground-truth
     reference sample per trial."""
     ex = cfg.resolved_extra()
     fractions, m_full, m_star = ex["fractions"], ex["m_full"], ex["m_star"]
+    spaced, shared = ex["eps_scheme"] == "spaced", ex["shared_outlier"]
     ids = tuple(f"v{i}" for i in range(cfg.n))
     rows = []
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 2 + cfg.n)
-        base, specs = _population(cfg.n, ex, seeds[0])
+        draw = _lattice_draw(seeds[0], cfg.n, ex["support_max"], ex["eps_max"], spaced, shared)
+        base, specs = _lattice_specs(*draw)
         ref = sample_huber(HuberSpec(0.0, base, None), m_star, seeds[1], "ref")
         full = [sample_huber(specs[i], m_full, seeds[2 + i], f"v{i}") for i in range(cfg.n)]
-        vv_star = ValueVector(_values(cfg.kernel, full, ref), ids)
+        vv_star = ValueVector(np.array([-mmd_biased(cfg.kernel, d, ref) for d in full]), ids)
         for f in fractions:
             m_f = max(1, round(f * m_full))
             heads = [Dataset(d.id, d.points[:m_f]) for d in full]
-            vv = ValueVector(_values(cfg.kernel, heads, ref), ids)
+            vv = ValueVector(np.array([-mmd_biased(cfg.kernel, d, ref) for d in heads]), ids)
             rows.append(
                 {
                     "trial": t,
@@ -437,10 +419,11 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
         raise InputError("incentive: misreporter index out of range")
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 4 + cfg.n)
-        base, specs = random_huber_population(cfg.n, ex["support_max"], ex["eps_max"], seeds[0])
+        draw = _lattice_draw(seeds[0], cfg.n, ex["support_max"], ex["eps_max"])
         if ex["mode"] == "exact":
-            rows.extend(_incentive_rows(t, i_mis, *_incentive_exact(cfg, ex, base, specs, i_mis)))
+            rows.extend(_incentive_rows(t, i_mis, *_incentive_exact(cfg, ex, *draw, i_mis)))
             continue
+        base, specs = _lattice_specs(*draw)
         honest = [sample_huber(specs[i], ex["m"], seeds[2 + i], f"v{i}") for i in range(cfg.n)]
         ref_gt = sample_huber(HuberSpec(0.0, base, None), ex["m_star"], seeds[1], "gt")
         rng = _trial_rng(cfg.seed, t, stream=1)
@@ -485,16 +468,17 @@ def _incentive_rows(t, i_mis, d_gt, d_mix, mmd2):
     ]
 
 
-def _incentive_exact(cfg, ex, base, specs, i_mis):
-    """`_incentive_rows`' arrays in exact mode, where the misreporter's pmf is
-    convolved with a discretized zero-mean Gaussian. Every pmf of the trial
-    lives on the population's lattice {0..support_max} widened on both sides
-    by the noise's reach, and the squared MMD is the exact one."""
+def _incentive_exact(cfg, ex, base, eps, outliers, i_mis):
+    """`_incentive_rows`' arrays in exact mode from a `_lattice_draw`, where
+    the misreporter's pmf is convolved with a discretized zero-mean Gaussian.
+    Every pmf of the trial lives on the population's lattice {0..support_max}
+    widened on both sides by the noise's reach, and the squared MMD is the
+    exact one."""
     half = max(1, math.ceil(4.0 * math.sqrt(ex["noise_var"])))
     noise = np.exp(-(np.arange(-half, half + 1) ** 2) / (2.0 * ex["noise_var"]))
     wide = np.arange(-half, ex["support_max"] + half + 1, dtype=float)[:, None]
-    b = np.pad(base.probs, half)
-    honest = np.pad(_population_rows(base, specs), ((0, 0), (half, half)))
+    b = np.pad(base, half)
+    honest = np.pad(_realized(base, eps, outliers), ((0, 0), (half, half)))
     mis = honest.copy()
     mis[i_mis] = np.convolve(honest[i_mis, half:-half], noise / noise.sum())
     mis[i_mis] /= mis[i_mis].sum()

@@ -140,6 +140,36 @@ def random_pmf(rng: np.random.Generator, support: np.ndarray) -> DiscretePmf:
     return DiscretePmf(support=support, probs=w / w.sum())
 
 
+def _lattice_draw(
+    seed: int, n: int, support_max: int, eps_max: float, spaced=False, shared_outlier=False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The probabilities of a random population on {0..support_max}: the
+    base (k,), the eps (n,) and the outliers (n, k), one row per vendor.
+
+    Draws, in order: the base, then eps_i ~ Uniform(0, eps_max) (or i / n
+    with no draw when `spaced`), then every outlier from one matrix of
+    uniforms (one row for all vendors when `shared_outlier`). Each pmf is its
+    draws divided by their sum, as `random_pmf` makes it, so every value is
+    the one a draw of one pmf at a time gives.
+    """
+    rng = np.random.default_rng(seed)
+    k = support_max + 1
+    base = rng.uniform(size=k)
+    eps = np.arange(n) / n if spaced else rng.uniform(0.0, eps_max, size=n)
+    outliers = rng.uniform(size=(1 if shared_outlier else n, k))
+    outliers /= outliers.sum(axis=1, keepdims=True)
+    return base / base.sum(), eps, np.broadcast_to(outliers, (n, k))
+
+
+def _lattice_specs(
+    base: np.ndarray, eps: np.ndarray, outliers: np.ndarray
+) -> tuple[DiscretePmf, list[HuberSpec]]:
+    """`_lattice_draw`'s arrays as the base pmf and one spec per vendor."""
+    support = np.arange(len(base), dtype=float)[:, None]
+    pmf = DiscretePmf(support, base)
+    return pmf, [HuberSpec(float(e), pmf, DiscretePmf(support, q)) for e, q in zip(eps, outliers)]
+
+
 def random_huber_population(
     n: int, support_max: int, eps_max: float, seed: int
 ) -> tuple[DiscretePmf, list[HuberSpec]]:
@@ -152,12 +182,4 @@ def random_huber_population(
         raise InputError("random_huber_population: n must be >= 1")
     if not (0.0 < eps_max < 1.0):
         raise InputError("random_huber_population: eps_max must be in (0, 1)")
-    rng = np.random.default_rng(seed)
-    support = np.arange(support_max + 1, dtype=float)[:, None]
-    base = random_pmf(rng, support)
-    eps = rng.uniform(0.0, eps_max, size=n)
-    specs = [
-        HuberSpec(epsilon=float(eps[i]), base=base, outlier=random_pmf(rng, support))
-        for i in range(n)
-    ]
-    return base, specs
+    return _lattice_specs(*_lattice_draw(seed, n, support_max, eps_max))

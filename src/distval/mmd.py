@@ -34,8 +34,18 @@ from .kernel import KernelConfig, _self_sum_and_embedding, _triangle_sum, weight
 def _embedding(
     cfg: KernelConfig, D: Dataset, threads: int
 ) -> tuple[float, np.ndarray, np.ndarray | None]:
-    x, w, bounds = D._part_atoms
-    return D.embedding(cfg, lambda: _self_sum_and_embedding(cfg, x, w, threads, bounds))
+    """The Gram self-sum w^T K(U, U) w of D's `_part_atoms` under kernel
+    `cfg`, their kernel mean embedding g = K(U, U) w and, when the parts are
+    separate runs, each atom's weighted row sum over the atoms after it in
+    its own part (else None); computed on first use and kept read-only on D."""
+    if cfg not in D._embeddings:
+        x, w, bounds = D._part_atoms
+        s, g, part_rows = _self_sum_and_embedding(cfg, x, w, threads, bounds)
+        for kept in (g, part_rows):
+            if kept is not None:
+                kept.flags.writeable = False
+        D._embeddings[cfg] = (s, g, part_rows)
+    return D._embeddings[cfg]
 
 
 def _equal_part(D: Dataset, S: Dataset) -> int | None:

@@ -10,6 +10,7 @@ from distval import (
     DiscretePmf,
     ExperimentConfig,
     ExperimentName,
+    HuberSpec,
     InputError,
     KernelConfig,
     ValueVector,
@@ -408,3 +409,33 @@ def test_every_runner_report_is_strict_json(name, extra):
     rep = run(cfg(name, 3, 2, 13, **extra), timing=True)
     payload = _strict_json(rep.to_json())
     assert payload["rows"] and payload["name"] == name.value
+
+
+def test_correlation_needs_two_vendors_at_config_time():
+    # once one trial ran, then `pearson: need at least 2 entries`
+    error = r"^experiment: n must be >= 2 for the correlation study, got 1$"
+    with pytest.raises(InputError, match=error):
+        cfg(ExperimentName.CORRELATION, 1, 3, 0)
+    # the other studies take a single vendor
+    for name in (ExperimentName.CONVERGENCE, ExperimentName.INCENTIVE_COMPAT):
+        assert cfg(name, 1, 1, 0).n == 1
+
+
+@pytest.mark.parametrize(
+    "name, extra",
+    [(ExperimentName.CORRELATION, {}), (ExperimentName.INCENTIVE_COMPAT, {"mode": "exact"})],
+)
+def test_exact_runners_build_no_pmf_or_spec(monkeypatch, name, extra):
+    # The exact runners work on the population's arrays; a validated pmf per
+    # vendor would only be read back.
+    built = []
+    for cls in (DiscretePmf, HuberSpec):
+        check = cls.__post_init__
+
+        def counting(self, check=check):
+            built.append(type(self).__name__)
+            check(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    rep = run(cfg(name, 6, 3, 17, **extra))
+    assert rep.rows and built == []

@@ -17,6 +17,7 @@ from distval import (
     realized_pmf,
     sample_huber,
 )
+from distval.huber import _lattice_draw
 
 CFG = KernelConfig(sigma=1.0)
 D01 = math.sqrt(2.0 - 2.0 * math.exp(-0.5))
@@ -186,3 +187,36 @@ def test_population_support_is_integer_lattice():
     base, specs = random_huber_population(3, 10, 0.5, seed=1)
     assert base.support.shape == (11, 1)
     assert np.array_equal(base.support[:, 0], np.arange(11.0))
+
+
+def _one_pmf_at_a_time(n, support_max, eps_max, seed, spaced=False, shared_outlier=False):
+    # The population's documented law, drawn the long way: the base, then the
+    # eps, then one uniform vector per outlier, each divided by its sum.
+    rng = np.random.default_rng(seed)
+    k = support_max + 1
+    w = rng.uniform(size=k)
+    base = w / w.sum()
+    eps = np.arange(n) / n if spaced else rng.uniform(0.0, eps_max, size=n)
+    outliers = []
+    for _ in range(1 if shared_outlier else n):
+        w = rng.uniform(size=k)
+        outliers.append(w / w.sum())
+    return base, eps, np.array(outliers * n if shared_outlier else outliers)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize("support_max", [0, 1, 10, 30])
+def test_population_is_bit_equal_to_one_pmf_at_a_time(n, support_max):
+    lattice = np.arange(support_max + 1, dtype=float)[:, None]
+    for seed in range(3):
+        base, specs = random_huber_population(n, support_max, 0.3, seed)
+        ref_base, ref_eps, ref_outliers = _one_pmf_at_a_time(n, support_max, 0.3, seed)
+        assert np.array_equal(base.support, lattice)
+        assert np.array_equal(base.probs, ref_base)
+        assert np.array_equal([s.epsilon for s in specs], ref_eps)
+        assert all(s.base is base and np.array_equal(s.outlier.support, lattice) for s in specs)
+        assert np.array_equal([s.outlier.probs for s in specs], ref_outliers)
+        for spaced, shared in ((True, False), (False, True), (True, True)):
+            got = _lattice_draw(seed, n, support_max, 0.3, spaced, shared)
+            ref = _one_pmf_at_a_time(n, support_max, 0.3, seed, spaced, shared)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref)), (seed, spaced, shared)
