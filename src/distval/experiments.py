@@ -24,7 +24,6 @@ from ._schema import (
     GAME_SIZES,
     INTEGER,
     NONNEGATIVE,
-    NUMBER,
     Section,
     is_number,
     nonempty_list_of,
@@ -32,7 +31,7 @@ from ._schema import (
 )
 from ._version import __version__ as _code_version
 from .data import Dataset, DiscretePmf
-from .errors import InputError, UndefinedCorrelationError
+from .errors import CapacityError, InputError, UndefinedCorrelationError
 from .game import build_game, verify_minmax
 from .huber import (
     HuberSpec,
@@ -74,6 +73,21 @@ _FRACTIONS = (
 # The bound of eps_i ~ U(0, eps_max): an eps must be below 1, and 0 contaminates nothing.
 _EPS_MAX = ("a number in (0, 1)", lambda v: is_number(v) and 0 < v < 1)
 
+# The soundness study's margins, as `PolicyParams` takes them.
+_EPS_MARGIN = ("a number >= 0", lambda v: is_number(v) and v >= 0)
+
+# The most points a study's lattice may have. `_lattice_draw` allocates n
+# values per point, and an exact distance scans the lattice's upper triangle:
+# 2^15 points is 5.4e8 kernel entries per distance.
+MAX_LATTICE_POINTS = 2**15
+
+
+def _noise_reach(noise_var: float) -> int:
+    """The lattice steps exact mode's discretized noise reaches on each side
+    of a point: 4 standard deviations, at least 1."""
+    return max(1, math.ceil(4.0 * math.sqrt(noise_var)))
+
+
 # Each runner's extras, key: (default, JSON kind).
 _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, tuple[Any, tuple]]] = {
     ExperimentName.CORRELATION: {"support_max": (10, NONNEGATIVE), "eps_max": (0.5, _EPS_MAX)},
@@ -90,8 +104,8 @@ _EXTRA_DEFAULTS: dict[ExperimentName, dict[str, tuple[Any, tuple]]] = {
         "reference": ("ground_truth", one_of(("ground_truth", "uniform"))),
         "m": (1000, COUNT),
         "m_star": (1000, COUNT),
-        "eps_bias": (0.1, NUMBER),
-        "eps_upsilon": (0.0, NUMBER),
+        "eps_bias": (0.1, _EPS_MARGIN),
+        "eps_upsilon": (0.0, _EPS_MARGIN),
         # the uniform-mixture variant draws its reference from this many
         # lightly contaminated marketplace vendors (the compared pair is not
         # part of the mixture, so the mixture cannot hide their gap)
@@ -143,6 +157,18 @@ class ExperimentConfig:
         section = Section(self.extra, "experiment.extra", extras)
         for key, (default, kind) in extras.items():
             section.get(key, kind, default)
+        if "support_max" in extras:
+            ex = self.resolved_extra()
+            points, given = ex["support_max"] + 1, f"support_max = {ex['support_max']}"
+            if ex.get("mode") == "exact":
+                # the noise widens the lattice on both sides
+                points += 2 * _noise_reach(ex["noise_var"])
+                given += f" and noise_var = {ex['noise_var']!r}"
+            if points > MAX_LATTICE_POINTS:
+                raise CapacityError(
+                    f"experiment: the lattice at {given} has more than"
+                    f" MAX_LATTICE_POINTS = {MAX_LATTICE_POINTS} points"
+                )
 
     def resolved_extra(self) -> dict:
         return {
@@ -248,8 +274,8 @@ def run_correlation(cfg: ExperimentConfig) -> ExperimentReport:
         base, eps, outliers = _lattice_draw(seed_pop, cfg.n, ex["support_max"], ex["eps_max"])
         pmfs = _realized(base, eps, outliers)
         support = np.arange(len(base), dtype=float)[:, None]
-        true = -signed_mmd(cfg.kernel, support, pmfs - base)
-        measured = -signed_mmd(cfg.kernel, support, pmfs - _uniform_mix(pmfs))
+        diffs = np.concatenate((pmfs - base, pmfs - _uniform_mix(pmfs)))
+        true, measured = -signed_mmd(cfg.kernel, support, diffs).reshape(2, -1)
         error = -true
         ids = tuple(f"v{i}" for i in range(cfg.n))
         try:
@@ -474,7 +500,7 @@ def _incentive_exact(cfg, ex, base, eps, outliers, i_mis):
     Every pmf of the trial lives on the population's lattice {0..support_max}
     widened on both sides by the noise's reach, and the squared MMD is the
     exact one."""
-    half = max(1, math.ceil(4.0 * math.sqrt(ex["noise_var"])))
+    half = _noise_reach(ex["noise_var"])
     noise = np.exp(-(np.arange(-half, half + 1) ** 2) / (2.0 * ex["noise_var"]))
     wide = np.arange(-half, ex["support_max"] + half + 1, dtype=float)[:, None]
     b = np.pad(base, half)
@@ -482,9 +508,9 @@ def _incentive_exact(cfg, ex, base, eps, outliers, i_mis):
     mis = honest.copy()
     mis[i_mis] = np.convolve(honest[i_mis, half:-half], noise / noise.sum())
     mis[i_mis] /= mis[i_mis].sum()
-    d_gt = [signed_mmd(cfg.kernel, wide, p - b) for p in (honest, mis)]
-    d_mix = [signed_mmd(cfg.kernel, wide, p - _uniform_mix(p)) for p in (honest, mis)]
-    return d_gt, d_mix, [d**2 for d in d_mix]
+    diffs = [honest - b, mis - b, honest - _uniform_mix(honest), mis - _uniform_mix(mis)]
+    d = signed_mmd(cfg.kernel, wide, np.concatenate(diffs)).reshape(4, -1)
+    return d[:2], d[2:], d[2:] ** 2
 
 
 # ---------------------------------------------------------------------------

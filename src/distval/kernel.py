@@ -6,13 +6,15 @@ a block stays in cache. The rows are lifted first (`_lifted`): centred on
 the pooled mean, divided by sigma and given two extra columns, so that one
 matrix product fills a block's buffer with the whole RBF exponent
 -||x - y||^2 / (2 sigma^2). A block then takes three passes over its buffer
-(the product, a clip at 0 and `exp`) before its weighted row sums. The
+(the product, a clip at 0 and `exp`), and one more product with the weights
+gives its weighted row sums. The weights are a vector, or a matrix with one
+column per weighting, so a group of weightings shares every block. The
 centring keeps the expanded quadratic from cancelling away the precision of
 points far from the origin. A self-sum (both sides equal by content)
 evaluates only the upper triangle, since K(X, X) is symmetric with a unit
 diagonal; the same pass also gives the kernel mean embedding K(X, X) w from
 the triangle's row and column sums, and, for rows made of consecutive
-parts, each row's sum within its own part (one extra row sum per block and
+parts, each row's sum within its own part (one extra product per block and
 part), from which each part's own self-sum follows.
 The blocks are grouped into at most 8 chunks of about equal entries; each
 chunk reuses one block buffer, and the calling thread takes chunks
@@ -237,25 +239,26 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool, bounds=None):
     """Each row's weighted sum over the row blocks of K(X, Y).
 
     r_i = sum_j k(x_i, y_j) wy_j; when `symmetric` (Y is X) only j > i, and
-    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j). The blocks
-    are grouped into chunks (`_chunk_plan`); each chunk reuses one block
-    buffer and adds its blocks' weighted column sums, in block order, into
-    its own partial, and the partials are added in chunk order. With
-    `bounds` (symmetric only: the row indices at which consecutive parts
-    start, and the end) the third result is each row's sum over the columns
-    to its right within its own part; it is None for a single part.
+    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j). The weights
+    wy are a vector (n,) or a matrix (n, k) with one weighting per column,
+    and the results then have k columns too: each block meets the weights in
+    one matrix product. The blocks are grouped into chunks (`_chunk_plan`);
+    each chunk reuses one block buffer and adds its blocks' weighted column
+    sums, in block order, into its own partial, and the partials are added
+    in chunk order. With `bounds` (symmetric only: the row indices at which
+    consecutive parts start, and the end) the third result is each row's
+    sum over the columns to its right within its own part; it is None for a
+    single part.
     """
     if threads < 1:
         raise InputError(f"threads must be >= 1, got {threads}")
     A, B = _lifted(cfg, X, X if symmetric else Y)
     m, n = X.shape[0], Y.shape[0]
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
-    # Multiplying by 1.0 is exact, so skipping it changes no bit.
-    unit_wy = bool((wy == 1.0).all())
     # Zeroes the diagonal and lower triangle of a block's leading square.
     lower = np.tri(min(rows, m), dtype=bool) if symmetric else None
-    row_sums = np.empty(m)
-    own = np.empty(m) if bounds is not None and len(bounds) > 2 else None
+    row_sums = np.empty((m,) + wy.shape[1:])
+    own = np.empty_like(row_sums) if bounds is not None and len(bounds) > 2 else None
     chunks = _chunk_plan(m, n, rows, symmetric)
     col_parts = [None] * len(chunks)
 
@@ -271,20 +274,19 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool, bounds=None):
             _gram_block(A[lo:hi], B[c0:], buf)
             if symmetric:
                 buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-                block_cols = wy[lo:hi] @ buf
+                block_cols = buf.T @ wy[lo:hi]
                 if cols is None:
                     cols = block_cols
                 else:
                     cols[lo - first :] += block_cols
-            if not unit_wy:
-                buf *= wy[c0:]
-            buf.sum(axis=1, out=row_sums[lo:hi])
+            np.matmul(buf, wy[c0:], out=row_sums[lo:hi])
             if own is not None:
                 # each part's rows in this block, over that part's columns
                 p = bisect.bisect_right(bounds, lo) - 1
                 while bounds[p] < hi:
                     r0, r1, end = max(bounds[p], lo), min(bounds[p + 1], hi), bounds[p + 1]
-                    buf[r0 - lo : r1 - lo, r0 - lo : end - lo].sum(axis=1, out=own[r0:r1])
+                    part = buf[r0 - lo : r1 - lo, r0 - lo : end - lo]
+                    np.matmul(part, wy[r0:end], out=own[r0:r1])
                     p += 1
         col_parts[k] = cols
 
@@ -315,7 +317,7 @@ def _self_sum_and_embedding(
     `_triangle_sum(w, r)` with r_i = sum_{j>i} w_j k(x_i, x_j), and
     g = w + r + c, where c_j = sum_{i<j} w_i k(x_i, x_j) are the triangle's
     weighted column sums. `bounds` holds the row indices at which the parts
-    start, and the end; each part costs one extra row sum per block, over
+    start, and the end; each part costs one extra product per block, over
     its own columns, and `_triangle_sum` of a part's weights and its rows'
     sums is the part's own self-sum. For one part (or None) the third result
     is None. All are bit-identical for any worker count.

@@ -28,7 +28,14 @@ import numpy as np
 
 from .data import Dataset, DiscretePmf, _find_rows, check_same_dim, on_union_support
 from .errors import InputError
-from .kernel import KernelConfig, _self_sum_and_embedding, _triangle_sum, weighted_gram_sum
+from . import kernel
+from .kernel import (
+    KernelConfig,
+    _reduce_blocks,
+    _self_sum_and_embedding,
+    _triangle_sum,
+    weighted_gram_sum,
+)
 
 
 def _embedding(
@@ -137,8 +144,21 @@ def mmd2_unbiased(cfg: KernelConfig, D: Dataset, Dp: Dataset) -> float:
 def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:
     """sqrt(max(w^T K(U, U) w, 0)) for each row w of `rows`, a signed measure on
     the points U = `support`: the exact MMD between two finite measures whose
-    difference is w. One symmetric Gram sum per row, exactly 0 where w = 0."""
-    sums = [weighted_gram_sum(cfg, support, w, support, w) for w in rows]
+    difference is w.
+
+    The rows, as the columns of a weight matrix, share one upper-triangle
+    pass over K(U, U) per group of at most _BLOCK_ENTRIES / |U| rows, so each
+    group's arrays stay about one Gram block's size and no dense K is held.
+    Each row's sum is `_triangle_sum` of its column: exactly 0 where w = 0.
+    """
+    rows = np.asarray(rows, dtype=float)
+    # read at call time, as the kernel's own block plan reads it
+    group = max(1, kernel._BLOCK_ENTRIES // len(support))
+    sums = []
+    for lo in range(0, len(rows), group):
+        W = rows[lo : lo + group]
+        r = _reduce_blocks(cfg, support, support, W.T, 1, symmetric=True)[0]
+        sums += [_triangle_sum(w, s) for w, s in zip(W, r.T)]
     return np.sqrt(np.maximum(sums, 0.0))
 
 

@@ -7,6 +7,7 @@ import pytest
 
 import distval.experiments
 from distval import (
+    CapacityError,
     DiscretePmf,
     ExperimentConfig,
     ExperimentName,
@@ -29,7 +30,7 @@ from distval import (
     write_curve_csvs,
     write_rows_csv,
 )
-from distval.experiments import _EXTRA_DEFAULTS, _trial_seeds
+from distval.experiments import _EXTRA_DEFAULTS, MAX_LATTICE_POINTS, _trial_seeds
 
 K1 = KernelConfig(sigma=1.0)
 
@@ -74,6 +75,9 @@ def cfg(name, n, trials, seed, **extra):
         (ExperimentName.INCENTIVE_COMPAT, "noise_var", 0, "must be a number > 0, got 0"),
         # the separated pair's shift is a constant of the study, not a key
         (ExperimentName.POLICY_SOUNDNESS, "outlier_shift", 5.0, "is not a known key"),
+        # once "policy: eps_bias must be finite and >= 0" from a running runner
+        (ExperimentName.POLICY_SOUNDNESS, "eps_bias", -0.1, "must be a number >= 0, got -0.1"),
+        (ExperimentName.POLICY_SOUNDNESS, "eps_upsilon", -1, "must be a number >= 0, got -1"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
@@ -81,7 +85,7 @@ def cfg(name, n, trials, seed, **extra):
         "n_values-empty", "fractions-above-1", "fractions-negative", "fractions-zero",
         "ref_vendors-negative", "ref_vendors-zero", "n_values-negative", "n_values-one",
         "n_values-eight", "m-zero", "support_max-negative", "eps_max-one", "noise_var-zero",
-        "outlier_shift-removed",
+        "outlier_shift-removed", "eps_bias-negative", "eps_upsilon-negative",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):
@@ -439,3 +443,47 @@ def test_exact_runners_build_no_pmf_or_spec(monkeypatch, name, extra):
         monkeypatch.setattr(cls, "__post_init__", counting)
     rep = run(cfg(name, 6, 3, 17, **extra))
     assert rep.rows and built == []
+
+
+@pytest.mark.parametrize(
+    "name, extra, given",
+    [
+        (ExperimentName.CORRELATION, {"support_max": MAX_LATTICE_POINTS}, "support_max = 32768"),
+        (ExperimentName.CONVERGENCE, {"support_max": 10**30}, "support_max = 10{30}"),
+        (ExperimentName.INCENTIVE_COMPAT, {"support_max": 40_000}, "support_max = 40000"),
+        (
+            ExperimentName.INCENTIVE_COMPAT,
+            {"mode": "exact", "support_max": MAX_LATTICE_POINTS - 2},
+            "support_max = 32766 and noise_var = 0.2",
+        ),
+        # once a ValueError traceback from np.arange
+        (
+            ExperimentName.INCENTIVE_COMPAT,
+            {"mode": "exact", "noise_var": 1e300},
+            r"support_max = 10 and noise_var = 1e\+300",
+        ),
+        # once a pass over 8,000,011 points
+        (
+            ExperimentName.INCENTIVE_COMPAT,
+            {"mode": "exact", "noise_var": 1e12},
+            "support_max = 10 and noise_var = 1000000000000.0",
+        ),
+    ],
+    ids=[
+        "correlation-support_max", "convergence-support_max", "empirical-support_max",
+        "exact-support_max", "exact-noise_var-1e300", "exact-noise_var-1e12",
+    ],
+)
+def test_config_rejects_a_lattice_above_the_cap(name, extra, given):
+    error = f"^experiment: the lattice at {given} has more than MAX_LATTICE_POINTS = 32768 points$"
+    with pytest.raises(CapacityError, match=error):
+        cfg(name, 5, 1, 0, **extra)
+
+
+def test_lattice_cap_admits_the_largest_lattice_and_empirical_noise():
+    # support_max + 1 points at the cap, and exact mode's widened lattice
+    # just under it (10 + 2 * 16,376 + 1 = 32,763 points)
+    cfg(ExperimentName.CORRELATION, 5, 1, 0, support_max=MAX_LATTICE_POINTS - 1)
+    cfg(ExperimentName.INCENTIVE_COMPAT, 5, 1, 0, mode="exact", noise_var=1.676e7)
+    # empirical noise is continuous and builds no lattice
+    cfg(ExperimentName.INCENTIVE_COMPAT, 5, 1, 0, noise_var=1e300)

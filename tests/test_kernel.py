@@ -314,6 +314,31 @@ def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
         assert s_t == s and g_t.tobytes() == g.tobytes()
 
 
+def test_weight_matrix_reduction_matches_dense_and_is_bit_identical_across_threads():
+    # five weightings share each block's products; three parts add their
+    # own row sums, and the part bounds straddle the 6-row blocks
+    rng = np.random.default_rng(23)
+    cfg = KernelConfig(sigma=1.5)
+    X, W = rng.normal(size=(150, 3)), rng.uniform(-1.0, 2.0, size=(150, 5))
+    bounds = [0, 40, 95, 150]
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
+        got = [kernel._reduce_blocks(cfg, X, X, W, t, True, bounds) for t in (1, 2, 4)]
+        one = [kernel._reduce_blocks(cfg, X, X, w, 1, True, bounds) for w in W.T]
+    upper = np.triu(kernel.gram_matrix(cfg, X, X), 1)
+    r, c, own = got[0]
+    np.testing.assert_allclose(r, upper @ W, rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(c, upper.T @ W, rtol=1e-13, atol=1e-13)
+    for lo, hi in zip(bounds, bounds[1:]):
+        part = upper[lo:hi, lo:hi] @ W[lo:hi]
+        np.testing.assert_allclose(own[lo:hi], part, rtol=1e-13, atol=1e-13)
+    # each column is the sums of a one-weighting pass
+    for j, sums in enumerate(one):
+        for col, vec in zip((r, c, own), sums):
+            np.testing.assert_allclose(col[:, j], vec, rtol=1e-13, atol=1e-13)
+    for sums in got[1:]:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(sums, got[0]))
+
+
 @pytest.mark.parametrize("unit", [True, False])
 def test_equal_content_cross_sum_is_bit_identical_to_self_sum(unit):
     rng = np.random.default_rng(14)

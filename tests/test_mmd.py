@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,7 +27,7 @@ from distval import (
 )
 from distval.data import _find_rows
 from distval.kernel import weighted_gram_sum
-from distval.mmd import _embedding, _equal_part, _sums
+from distval.mmd import _embedding, _equal_part, _sums, signed_mmd
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -418,3 +419,40 @@ def test_part_sums_bit_identical_across_threads(kind):
     # each part's self-sum is its vendor's own, within rounding
     for v, (s_v, _, _) in zip(vendors, got[0][3]):
         assert s_v == pytest.approx(weighted_gram_sum(CFG, *v.atoms, *v.atoms), rel=1e-13)
+
+
+def test_signed_mmd_groups_of_rows_agree_with_one_row_calls():
+    rng = np.random.default_rng(29)
+    support = rng.normal(size=(40, 2))
+    rows = rng.uniform(-1.0, 1.0, size=(12, 40))
+    rows[7] = 0.0
+    # 5 support rows per block (8 blocks) and 5 rows per group (3 groups)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 200):
+        got = signed_mmd(CFG, support, rows)
+        one = np.array([signed_mmd(CFG, support, [w])[0] for w in rows])
+    assert got[7] == 0.0 and one[7] == 0.0
+    np.testing.assert_allclose(got**2, one**2, rtol=0, atol=1e-12)
+    dense = [w @ kernel.gram_matrix(CFG, support, support) @ w for w in rows]
+    np.testing.assert_allclose(got**2, dense, rtol=1e-12, atol=1e-12)
+
+
+def test_signed_mmd_memory_stays_within_one_group_of_blocks():
+    # exact incentive's lattice at noise_var 1e6: 10 + 2 * 4,000 + 1 points
+    n, k = 8011, 200
+    support = np.arange(n, dtype=float)[:, None]
+    rows = np.random.default_rng(31).uniform(-1.0, 1.0, size=(k, n)) / n
+    g = kernel._BLOCK_ENTRIES // n  # rows per group, and support rows per block
+    # 8-byte values: the two lifted (n, 3) arrays, one block buffer, and, all
+    # (n, g), a group's row sums, the previous group's row sums, a block's
+    # column sums and a column partial per chunk; and 1 MiB for numpy's and
+    # the interpreter's small temporaries. A dense K would take 8 n^2 bytes
+    # (513 MB), and a pass over all k rows at once 8 k n bytes (12.8 MB) for
+    # each of those (n, g) arrays.
+    bound = 8 * (2 * 3 * n + kernel._BLOCK_ENTRIES + (kernel._CHUNKS + 3) * n * g) + 2**20
+    tracemalloc.start()
+    try:
+        signed_mmd(CFG, support, rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound < 30_000_000
