@@ -443,6 +443,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.seed is not None and args.seed < 0:
             raise InputError(f"--seed must be {NONNEGATIVE[0]}, got {args.seed}")
+        if getattr(args, "threads", 1) < 1:
+            raise InputError(f"--threads must be {COUNT[0]}, got {args.threads}")
         cfg = _load_config(args.config)
         print(
             f"distval {args.command}: seed={args.seed} config={args.config}",

@@ -12,15 +12,16 @@ column per weighting, so a group of weightings shares every block. The
 centring keeps the expanded quadratic from cancelling away the precision of
 points far from the origin. A self-sum (both sides equal by content)
 evaluates only the upper triangle, since K(X, X) is symmetric with a unit
-diagonal; the same pass also gives the kernel mean embedding K(X, X) w from
-the triangle's row and column sums, and, for rows made of consecutive
+diagonal, and forms only its row sums. The kernel mean embedding's triangle
+(`mmd._embedding`) is the one pass that also forms the triangle's column
+sums, from which K(X, X) w follows, and, for rows made of consecutive
 parts, each row's sum within its own part (one extra product per block and
 part), from which each part's own self-sum follows.
 The blocks are grouped into at most 8 chunks of about equal entries; each
 chunk reuses one block buffer, and the calling thread takes chunks
 alongside threads - 1 pool workers. Results are identical for any worker
 count: the blocks and chunks depend only on the input sizes, each row is
-reduced on its own, each chunk adds its column sums in block order, the
+reduced on its own, each chunk adds any column sums in block order, the
 chunks' partials are added in chunk order on the calling thread, and the
 weighted per-row sums are combined exactly in index order.
 
@@ -185,9 +186,9 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _chunk_plan(m: int, n: int, rows: int, symmetric: bool) -> list[list[int]]:
-    """The starts of the row blocks of K(X, Y), grouped into at most _CHUNKS
-    runs of consecutive blocks with about equal kernel entries each.
+def _chunk_plan(m: int, n: int, rows: int, triangle: bool) -> list[list[int]]:
+    """The starts of the row blocks of K(X, Y) or its upper triangle, grouped
+    into at most _CHUNKS runs of consecutive blocks of about equal entries.
 
     A block joins the chunk in which its first entry falls. The plan depends
     only on the input sizes, so neither the thread count nor the order in
@@ -196,7 +197,7 @@ def _chunk_plan(m: int, n: int, rows: int, symmetric: bool) -> list[list[int]]:
     if m <= rows:
         return [[0]]
     los = range(0, m, rows)
-    entries = [(min(lo + rows, m) - lo) * (n - lo if symmetric else n) for lo in los]
+    entries = [(min(lo + rows, m) - lo) * (n - lo if triangle else n) for lo in los]
     total, before = max(1, sum(entries)), 0
     chunks: dict[int, list[int]] = {}
     for lo, e in zip(los, entries):
@@ -235,51 +236,51 @@ def _drain(work, count: int, threads: int) -> None:
                 f.result()
 
 
-def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool, bounds=None):
-    """Each row's weighted sum over the row blocks of K(X, Y).
+def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
+    """Each row's weighted sum over the row blocks of K(X, Y), or, with Y left
+    out, over the upper triangle of K(X, X).
 
-    r_i = sum_j k(x_i, y_j) wy_j; when `symmetric` (Y is X) only j > i, and
-    the second result is then c_j = sum_{i<j} wy_i k(x_i, x_j). The weights
-    wy are a vector (n,) or a matrix (n, k) with one weighting per column,
-    and the results then have k columns too: each block meets the weights in
-    one matrix product. The blocks are grouped into chunks (`_chunk_plan`);
-    each chunk reuses one block buffer and adds its blocks' weighted column
-    sums, in block order, into its own partial, and the partials are added
-    in chunk order. With `bounds` (symmetric only: the row indices at which
-    consecutive parts start, and the end) the third result is each row's
-    sum over the columns to its right within its own part; it is None for a
-    single part.
+    r_i = sum_j k(x_i, y_j) wy_j, over j > i only for the triangle. The
+    weights wy are a vector (n,) or a matrix (n, k) with one weighting per
+    column, and the results then have k columns too: each block meets the
+    weights in one matrix product. The blocks are grouped into chunks
+    (`_chunk_plan`), and each chunk reuses one block buffer. The second and
+    third results are None unless `bounds` is passed, which only the kernel
+    mean embedding's triangle does: the row indices at which consecutive
+    parts start, and the end. Its second result is then the triangle's
+    column sums c_j = sum_{i<j} wy_i k(x_i, x_j): each chunk adds its blocks'
+    column sums, in block order, into its own partial, and the partials are
+    added in chunk order. Its third result, for more than one part, is each
+    row's sum over the columns to its right within its own part.
     """
-    if threads < 1:
-        raise InputError(f"threads must be >= 1, got {threads}")
-    A, B = _lifted(cfg, X, X if symmetric else Y)
-    m, n = X.shape[0], Y.shape[0]
+    triangle = Y is None
+    A, B = _lifted(cfg, X, X if triangle else Y)
+    m, n = A.shape[0], B.shape[0]
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
     # Zeroes the diagonal and lower triangle of a block's leading square.
-    lower = np.tri(min(rows, m), dtype=bool) if symmetric else None
+    lower = np.tri(min(rows, m), dtype=bool) if triangle else None
     row_sums = np.empty((m,) + wy.shape[1:])
     own = np.empty_like(row_sums) if bounds is not None and len(bounds) > 2 else None
-    chunks = _chunk_plan(m, n, rows, symmetric)
+    chunks = _chunk_plan(m, n, rows, triangle)
     col_parts = [None] * len(chunks)
 
     def chunk(k: int):
         first = chunks[k][0]
-        c_first = first if symmetric else 0
-        space = np.empty(min(rows, m - first) * (n - c_first))
-        cols = None
+        space = np.empty(min(rows, m - first) * (n - first if triangle else n))
         for lo in chunks[k]:
             hi = min(lo + rows, m)
-            c0 = lo if symmetric else 0
+            c0 = lo if triangle else 0
             buf = space[: (hi - lo) * (n - c0)].reshape(hi - lo, n - c0)
             _gram_block(A[lo:hi], B[c0:], buf)
-            if symmetric:
+            if triangle:
                 buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-                block_cols = buf.T @ wy[lo:hi]
-                if cols is None:
-                    cols = block_cols
-                else:
-                    cols[lo - first :] += block_cols
             np.matmul(buf, wy[c0:], out=row_sums[lo:hi])
+            if bounds is not None:
+                cols = buf.T @ wy[lo:hi]
+                if lo == first:
+                    col_parts[k] = cols
+                else:
+                    col_parts[k][lo - first :] += cols
             if own is not None:
                 # each part's rows in this block, over that part's columns
                 p = bisect.bisect_right(bounds, lo) - 1
@@ -288,15 +289,20 @@ def _reduce_blocks(cfg, X, Y, wy, threads: int, symmetric: bool, bounds=None):
                     part = buf[r0 - lo : r1 - lo, r0 - lo : end - lo]
                     np.matmul(part, wy[r0:end], out=own[r0:r1])
                     p += 1
-        col_parts[k] = cols
 
     _drain(chunk, len(chunks), threads)
+    if bounds is None:
+        return row_sums, None, None
+    # the first chunk starts at row 0, so its partial spans every column
     col_sums = col_parts[0]
-    if symmetric:
-        # the first chunk starts at row 0, so its partial spans every column
-        for los, cols in zip(chunks[1:], col_parts[1:]):
-            col_sums[los[0] :] += cols
+    for los, cols in zip(chunks[1:], col_parts[1:]):
+        col_sums[los[0] :] += cols
     return row_sums, col_sums, own
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise InputError(f"threads must be >= 1, got {threads}")
 
 
 def _triangle_sum(w: np.ndarray, r: np.ndarray) -> float:
@@ -304,28 +310,6 @@ def _triangle_sum(w: np.ndarray, r: np.ndarray) -> float:
     rows whose weighted sums over the columns to their right are r; k(x, x) = 1
     exactly, so the diagonal contributes w_i^2."""
     return math.fsum(np.concatenate((w * w, 2.0 * w * r)).tolist())
-
-
-def _self_sum_and_embedding(
-    cfg: KernelConfig, X: np.ndarray, w: np.ndarray, threads: int = 1, bounds=None
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """w^T K(X, X) w, the kernel mean embedding g = K(X, X) w at the rows,
-    and, for rows made of consecutive parts, each row's weighted sum over the
-    columns to its right within its own part.
-
-    One upper-triangle pass gives all three. The sum is taken as
-    `_triangle_sum(w, r)` with r_i = sum_{j>i} w_j k(x_i, x_j), and
-    g = w + r + c, where c_j = sum_{i<j} w_i k(x_i, x_j) are the triangle's
-    weighted column sums. `bounds` holds the row indices at which the parts
-    start, and the end; each part costs one extra product per block, over
-    its own columns, and `_triangle_sum` of a part's weights and its rows'
-    sums is the part's own self-sum. For one part (or None) the third result
-    is None. All are bit-identical for any worker count.
-    """
-    r, c, own = _reduce_blocks(cfg, X, X, w, threads, symmetric=True, bounds=bounds)
-    g = w + r
-    g += c
-    return _triangle_sum(w, r), g, own
 
 
 def weighted_gram_sum(
@@ -339,16 +323,17 @@ def weighted_gram_sum(
     """wx^T K(X, Y) wy: the weighted sum of k(x_i, y_j) over all row pairs.
 
     When (X, wx) equals (Y, wy) by content the sum is taken as
-    sum_i wx_i^2 + 2 sum_{i<j} wx_i wx_j k(x_i, x_j), half the kernel
-    entries (`_self_sum_and_embedding`); a cross sum between equal inputs takes
-    the same route, so it is bit-identical to the self-sum. Deterministic for
-    any worker count: the row blocks depend only on the input sizes, each
-    row's weighted sum is reduced on its own, and the rows are combined
-    exactly (math.fsum).
+    sum_i wx_i^2 + 2 sum_{i<j} wx_i wx_j k(x_i, x_j), from the upper
+    triangle's row sums alone (`_triangle_sum`); a cross sum between equal
+    inputs takes the same route, so it is bit-identical to the self-sum.
+    Deterministic for any worker count: the row blocks depend only on the
+    input sizes, each row's weighted sum is reduced on its own, and the rows
+    are combined exactly (math.fsum).
     """
+    _check_threads(threads)
     if (X is Y or np.array_equal(X, Y)) and (wx is wy or np.array_equal(wx, wy)):
-        return _self_sum_and_embedding(cfg, X, wx, threads)[0]
-    row_sums = _reduce_blocks(cfg, X, Y, wy, threads, symmetric=False)[0]
+        return _triangle_sum(wx, _reduce_blocks(cfg, X, wx, threads=threads)[0])
+    row_sums = _reduce_blocks(cfg, X, wy, Y, threads)[0]
     return math.fsum((wx * row_sums).tolist())
 
 

@@ -5,20 +5,21 @@ Three routes to the same metric:
   * mmd2_unbiased -- U-statistic estimator of the squared MMD (may be negative);
   * mmd_discrete -- exact population MMD between finite-support distributions.
 
-All of them are formulas over one weighted kernel sum. A Dataset enters as
-its distinct rows weighted by their counts. Its self-sum and its kernel mean
+All of them are formulas over weighted kernel sums. A Dataset enters as its
+distinct rows weighted by their counts. Its self-sum and its kernel mean
 embedding at those rows, g = K(U, U) w, come from one upper-triangle pass,
-once per kernel, and are kept on it. A cross sum against a sample that holds
-the other's rows then reads g there (MMD is the RKHS distance between mean
-embeddings, Gretton et al. 2012, Lemma 6), and only rows it does not hold
-cost kernel entries. A pooled sample (a uniform reference) whose parts
-share no row runs that pass over its parts, each deduplicated on its own,
-and also keeps each row's sum within its part. A sample equal to one of its
-parts then needs no pass of its own: its self-sum comes from those row
-sums, and its cross sum is the part's w^T g. Parts that share rows (lattice
-data) are pooled into one run, so no row costs twice. Two pmfs enter as one
-signed measure, p - q on the union of their supports, whose MMD is the
-square root of one quadratic form (`signed_mmd`).
+once per kernel, and are kept on it; only that pass forms column sums. A
+cross sum against a sample that holds the other's rows then reads g there
+(MMD is the RKHS distance between mean embeddings, Gretton et al. 2012,
+Lemma 6), and only rows it does not hold cost kernel entries. A pooled
+sample (a uniform reference) whose parts share no row runs that pass over
+its parts, each deduplicated on its own, and also keeps each row's sum
+within its part. A sample equal to one of its parts then needs no pass of
+its own: its self-sum comes from those row sums, and its cross sum is the
+part's w^T g. Parts that share rows (lattice data) are pooled into one run,
+so no row costs twice. Two pmfs enter as one signed measure, p - q on the
+union of their supports, whose MMD is the square root of one quadratic form
+(`signed_mmd`).
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from .errors import InputError
 from . import kernel
 from .kernel import (
     KernelConfig,
+    _check_threads,
     _reduce_blocks,
-    _self_sum_and_embedding,
     _triangle_sum,
     weighted_gram_sum,
 )
@@ -44,14 +45,18 @@ def _embedding(
     """The Gram self-sum w^T K(U, U) w of D's `_part_atoms` under kernel
     `cfg`, their kernel mean embedding g = K(U, U) w and, when the parts are
     separate runs, each atom's weighted row sum over the atoms after it in
-    its own part (else None); computed on first use and kept read-only on D."""
+    its own part (else None); computed on first use and kept read-only on D.
+    One upper-triangle pass, the only one that forms column sums c, gives all
+    three: the self-sum is `_triangle_sum` of its row sums r, g = w + r + c."""
     if cfg not in D._embeddings:
         x, w, bounds = D._part_atoms
-        s, g, part_rows = _self_sum_and_embedding(cfg, x, w, threads, bounds)
+        r, c, part_rows = _reduce_blocks(cfg, x, w, threads=threads, bounds=bounds)
+        g = w + r
+        g += c
         for kept in (g, part_rows):
             if kept is not None:
                 kept.flags.writeable = False
-        D._embeddings[cfg] = (s, g, part_rows)
+        D._embeddings[cfg] = (_triangle_sum(w, r), g, part_rows)
     return D._embeddings[cfg]
 
 
@@ -84,6 +89,7 @@ def _sums(
     and only the atoms not found there go through a Gram sum against it, in
     the A-rows, B-columns orientation.
     """
+    _check_threads(threads)
     (xa, wa), (xb, wb) = A.atoms, B.atoms
     if A is B or (np.array_equal(xa, xb) and np.array_equal(wa, wb)):
         s_aa, s_bb = _embedding(cfg, A, threads)[0], _embedding(cfg, B, threads)[0]
@@ -147,18 +153,19 @@ def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:
     difference is w.
 
     The rows, as the columns of a weight matrix, share one upper-triangle
-    pass over K(U, U) per group of at most _BLOCK_ENTRIES / |U| rows, so each
-    group's arrays stay about one Gram block's size and no dense K is held.
-    Each row's sum is `_triangle_sum` of its column: exactly 0 where w = 0.
+    pass over K(U, U) per group of at most 4 _BLOCK_ENTRIES / |U| rows, so a
+    group's row sums take about four Gram blocks and no dense K is held. The
+    pass forms those row sums and nothing else, and each group's are dropped
+    before the next pass. Each row's sum is `_triangle_sum` of its column:
+    exactly 0 where w = 0.
     """
     rows = np.asarray(rows, dtype=float)
     # read at call time, as the kernel's own block plan reads it
-    group = max(1, kernel._BLOCK_ENTRIES // len(support))
+    group = max(1, 4 * kernel._BLOCK_ENTRIES // len(support))
     sums = []
     for lo in range(0, len(rows), group):
         W = rows[lo : lo + group]
-        r = _reduce_blocks(cfg, support, support, W.T, 1, symmetric=True)[0]
-        sums += [_triangle_sum(w, s) for w, s in zip(W, r.T)]
+        sums += map(_triangle_sum, W, _reduce_blocks(cfg, support, W.T)[0].T)
     return np.sqrt(np.maximum(sums, 0.0))
 
 

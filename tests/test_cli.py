@@ -500,12 +500,31 @@ def test_closed_stdout_is_input_error(tmp_path, vendor_files, fmt, unbuffered):
     assert proc.stderr.strip().splitlines()[-1].startswith("error: cannot write stdout: ")
 
 
-def test_bad_threads_env_is_input_error(tmp_path, vendor_files, capsys, monkeypatch):
+def test_threads_come_only_from_the_flag(tmp_path, vendor_files, capsys, monkeypatch):
     # the worker count comes only from --threads; the environment is not read
     monkeypatch.setenv("DISTVAL_THREADS", "abc")
     cfg = _config(tmp_path, vendor_files)
     assert main(["value", "--config", str(cfg)]) == 0
     assert json.loads(capsys.readouterr().out)["resolved_config"]["threads"] == 1
+
+
+@pytest.mark.parametrize("command", ["value", "rank", "compare"])
+def test_threads_below_one_are_an_input_error_before_any_csv_is_read(
+    tmp_path, vendor_files, capsys, command
+):
+    _, a, b, _ = vendor_files
+    cfg = _config(tmp_path, vendor_files, compare={"left": "a", "right": "b"})
+    assert main([command, "--config", str(cfg), "--threads", "0"]) == 1
+    assert capsys.readouterr().err.strip().splitlines()[-1] == (
+        "error: --threads must be an integer >= 1, got 0"
+    )
+    # with the vendor files gone, the flag is still what the error names
+    a.unlink()
+    b.unlink()
+    assert main([command, "--config", str(cfg), "--threads", "-4"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == "error: --threads must be an integer >= 1, got -4"
 
 
 @pytest.mark.parametrize(

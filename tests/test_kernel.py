@@ -15,13 +15,17 @@ from distval import (
     Dataset,
     InputError,
     KernelConfig,
+    build_uniform_reference,
     gram_sum,
     kernel_eval,
     median_heuristic,
     mmd_biased,
+    rank_vendors,
+    value_dataset,
 )
 from distval import kernel
 from distval.kernel import weighted_gram_sum
+from distval.mmd import _embedding
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -238,21 +242,31 @@ def test_self_sum_memory_stays_within_one_buffer_per_worker():
     # 8-byte values: the two lifted (m, d + 2) arrays, one block buffer per
     # worker in flight (the calling thread and threads - 1 pool workers), a
     # column partial of at most m values per chunk, and 1 MiB for the row
-    # sums, the embedding and numpy's and the interpreter's small temporaries.
+    # sums, the column sums and numpy's and the interpreter's small temporaries.
     bound = 8 * (2 * m * (d + 2) + threads * kernel._BLOCK_ENTRIES + kernel._CHUNKS * m) + 2**20
-    kernel._self_sum_and_embedding(CFG, X, w, threads)  # starts the pool outside the trace
+    # the embedding's triangle, the one pass that forms column sums
+    kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))  # starts the pool
     tracemalloc.start()
     try:
-        kernel._self_sum_and_embedding(CFG, X, w, threads)
+        kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < bound
 
 
-def test_threads_env_fallback():
+def test_threads_below_one_are_an_input_error_on_every_call():
     with pytest.raises(InputError, match="threads must be >= 1"):
         gram_sum(CFG, ds([0.0]), ds([1.0]), threads=0)
+    # a reference whose sums are already kept runs no pass, and still raises
+    vendors = [Dataset(f"v{i}", np.arange(6.0) + 10 * i) for i in range(3)]
+    ref = build_uniform_reference(vendors, seed=3)
+    value = value_dataset(CFG, vendors[0], ref)
+    assert value_dataset(CFG, vendors[0], ref) == value
+    with pytest.raises(InputError, match="threads must be >= 1, got 0"):
+        value_dataset(CFG, vendors[0], ref, threads=0)
+    with pytest.raises(InputError, match="threads must be >= 1, got -4"):
+        rank_vendors(CFG, vendors, ref, threads=-4)
 
 
 def test_weighted_gram_sum_matches_dense_weighted_form():
@@ -299,12 +313,14 @@ def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
     # g = K(X, X) w from the triangle's row sums, column sums and diagonal
     rng = np.random.default_rng(19)
     cfg = KernelConfig(sigma=1.5)
-    X = rng.normal(size=(150, 3))
-    w = np.ones(150) if unit else rng.uniform(0.1, 3.0, size=150)
+    points = rng.normal(size=(150, 3))
+    if not unit:  # repeated rows: their counts are the atoms' weights
+        points = np.repeat(points, rng.integers(1, 5, size=150), axis=0)
+    X, w = Dataset("x", points).atoms
     dense = kernel.gram_matrix(cfg, X, X) @ w
     # a small block size gives many blocks, each adding its column sums
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
-        got = [kernel._self_sum_and_embedding(cfg, X, w, threads=t) for t in (1, 2, 4)]
+        got = [_embedding(cfg, Dataset("x", points), t) for t in (1, 2, 4)]
         # the same block plan: bits depend on the block size, not the route
         self_sum = weighted_gram_sum(cfg, X, w, X, w)
     s, g, _ = got[0]
@@ -322,8 +338,8 @@ def test_weight_matrix_reduction_matches_dense_and_is_bit_identical_across_threa
     X, W = rng.normal(size=(150, 3)), rng.uniform(-1.0, 2.0, size=(150, 5))
     bounds = [0, 40, 95, 150]
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
-        got = [kernel._reduce_blocks(cfg, X, X, W, t, True, bounds) for t in (1, 2, 4)]
-        one = [kernel._reduce_blocks(cfg, X, X, w, 1, True, bounds) for w in W.T]
+        got = [kernel._reduce_blocks(cfg, X, W, threads=t, bounds=bounds) for t in (1, 2, 4)]
+        one = [kernel._reduce_blocks(cfg, X, w, bounds=bounds) for w in W.T]
     upper = np.triu(kernel.gram_matrix(cfg, X, X), 1)
     r, c, own = got[0]
     np.testing.assert_allclose(r, upper @ W, rtol=1e-13, atol=1e-13)
@@ -337,6 +353,21 @@ def test_weight_matrix_reduction_matches_dense_and_is_bit_identical_across_threa
             np.testing.assert_allclose(col[:, j], vec, rtol=1e-13, atol=1e-13)
     for sums in got[1:]:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(sums, got[0]))
+
+
+def test_only_the_embedding_triangle_forms_column_sums():
+    # a triangle without bounds, and a cross pass, return row sums alone;
+    # the triangle's row sums have the bits of the embedding's pass
+    rng = np.random.default_rng(24)
+    X, Y, W = rng.normal(size=(150, 3)), rng.normal(size=(60, 3)), rng.normal(size=(150, 4))
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
+        for t in (1, 2):
+            r, c, own = kernel._reduce_blocks(CFG, X, W, threads=t)
+            assert c is None and own is None
+            embedding = kernel._reduce_blocks(CFG, X, W, threads=t, bounds=(0, 150))
+            assert r.tobytes() == embedding[0].tobytes()
+            assert embedding[2] is None  # one part keeps no part row sums
+            assert kernel._reduce_blocks(CFG, Y, W, X, t)[1:] == (None, None)
 
 
 @pytest.mark.parametrize("unit", [True, False])
@@ -521,8 +552,9 @@ def test_lifted_blocks_bit_identical_across_threads(symmetric):
         Y, wy = rng.normal(size=(170, 5)) + 1e8, rng.uniform(0.5, 2.0, size=170)
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 2000):
         if symmetric:
-            got = [kernel._self_sum_and_embedding(cfg, X, wx, threads=t) for t in (1, 2, 4)]
-            got = [(s, g.tobytes()) for s, g, _ in got]
+            # the embedding's triangle: its row sums and column sums
+            got = [kernel._reduce_blocks(cfg, X, wx, threads=t, bounds=(0, 200)) for t in (1, 2, 4)]
+            got = [(r.tobytes(), c.tobytes()) for r, c, _ in got]
         else:
             got = [weighted_gram_sum(cfg, X, wx, Y, wy, threads=t) for t in (1, 2, 4)]
     assert got[0] == got[1] == got[2]

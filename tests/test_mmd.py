@@ -426,8 +426,8 @@ def test_signed_mmd_groups_of_rows_agree_with_one_row_calls():
     support = rng.normal(size=(40, 2))
     rows = rng.uniform(-1.0, 1.0, size=(12, 40))
     rows[7] = 0.0
-    # 5 support rows per block (8 blocks) and 5 rows per group (3 groups)
-    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 200):
+    # 1 support row per block (40 blocks) and 5 rows per group (3 groups)
+    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 50):
         got = signed_mmd(CFG, support, rows)
         one = np.array([signed_mmd(CFG, support, [w])[0] for w in rows])
     assert got[7] == 0.0 and one[7] == 0.0
@@ -441,18 +441,16 @@ def test_signed_mmd_memory_stays_within_one_group_of_blocks():
     n, k = 8011, 200
     support = np.arange(n, dtype=float)[:, None]
     rows = np.random.default_rng(31).uniform(-1.0, 1.0, size=(k, n)) / n
-    g = kernel._BLOCK_ENTRIES // n  # rows per group, and support rows per block
-    # 8-byte values: the two lifted (n, 3) arrays, one block buffer, and, all
-    # (n, g), a group's row sums, the previous group's row sums, a block's
-    # column sums and a column partial per chunk; and 1 MiB for numpy's and
-    # the interpreter's small temporaries. A dense K would take 8 n^2 bytes
-    # (513 MB), and a pass over all k rows at once 8 k n bytes (12.8 MB) for
-    # each of those (n, g) arrays.
-    bound = 8 * (2 * 3 * n + kernel._BLOCK_ENTRIES + (kernel._CHUNKS + 3) * n * g) + 2**20
+    g = 4 * kernel._BLOCK_ENTRIES // n  # rows per group
+    # 8-byte values: the two lifted (n, 3) arrays, one block buffer and a
+    # group's (n, g) row sums; and 1 MiB for numpy's and the interpreter's
+    # small temporaries. A dense K would take 8 n^2 bytes (513 MB), and a
+    # pass over all k rows at once 8 k n bytes (12.8 MB) of row sums.
+    bound = 8 * (2 * 3 * n + kernel._BLOCK_ENTRIES + n * g) + 2**20
     tracemalloc.start()
     try:
         signed_mmd(CFG, support, rows)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < bound < 30_000_000
+    assert peak < bound < 12_000_000

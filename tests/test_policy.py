@@ -238,19 +238,19 @@ def test_report_json_is_strict():
 
 
 def _count_self_sums(monkeypatch, data):
-    """Counts self-sum passes over `data`'s atoms."""
+    """Counts self-sum passes over `data`'s atoms: the embedding's triangles."""
     import distval.mmd
 
     rows = data.atoms[0]
     calls = []
-    real = distval.mmd._self_sum_and_embedding
+    real = distval.mmd._reduce_blocks
 
-    def counting(cfg, X, w, *rest):
-        if X is rows:
+    def counting(cfg, X, wy, Y=None, threads=1, bounds=None):
+        if X is rows and Y is None and bounds is not None:
             calls.append(1)
-        return real(cfg, X, w, *rest)
+        return real(cfg, X, wy, Y, threads, bounds)
 
-    monkeypatch.setattr(distval.mmd, "_self_sum_and_embedding", counting)
+    monkeypatch.setattr(distval.mmd, "_reduce_blocks", counting)
     return calls
 
 
