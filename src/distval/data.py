@@ -1,8 +1,6 @@
 """Core data containers: vendor sample datasets and finite-support distributions."""
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,47 +39,24 @@ def _distinct_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ordered[first], inverse, counts
 
 
-def _find_rows(atoms: np.ndarray, rows: np.ndarray, bounds=None) -> np.ndarray:
-    """For each of `rows`, the index of the atom equal to it, or -1, where
-    `atoms` is `_distinct_rows`'s first output, or several of them stacked
-    with `bounds` the indices at which they start and the end; a row is then
-    found in the first part that holds it. Rows match under ==, so -0.0
-    matches 0.0."""
-    # A record of float fields compares field by field as numbers: the atoms'
-    # lexicographic order, in which a binary search finds each row.
-    rec = np.dtype([("", float)] * atoms.shape[1])
-    queries = rows.view(rec).reshape(-1)
-    bounds = (0, len(atoms)) if bounds is None else bounds
-    idx = None
-    for lo, hi in zip(bounds, bounds[1:]):
-        at = np.searchsorted(atoms[lo:hi].view(rec).reshape(-1), queries)
-        at = np.minimum(at, hi - lo - 1) + lo
-        found = np.where((atoms[at] == rows).all(axis=1), at, -1)
-        idx = found if idx is None else np.where(idx >= 0, idx, found)
-        if hi < len(atoms) and (idx >= 0).all():
-            break
-    return idx
-
-
 @dataclass(frozen=True)
 class Dataset:
     """An ordered collection of fixed-dimension feature vectors from one vendor.
 
     `points` is a read-only (m, d) float copy of the caller's finite array;
     row order is meaningful and preserved by every operation in this package.
-    A pooled sample is made of `parts`, the row counts of consecutive row
-    ranges (a uniform reference: one per vendor's subsample); a plain sample
-    is one part. The Gram self-sum of its atoms, their kernel mean embedding
-    and, when its parts are separate runs of the pass (`_part_atoms`), each
-    atom's row sum within its part are kept per kernel in `_embeddings`
-    (`mmd._embedding` fills it); the points are a read-only copy, so nothing
-    kept can go stale.
+    A pooled sample (`_pooled`: a uniform or mixture reference) records its
+    `_sources`, the samples its rows were taken from, each with how often
+    each of its atoms was taken; a plain sample records none and is its own
+    single source. Its Gram sums are kept per kernel in `_tables`
+    (`mmd._table` fills it); the points are a read-only copy, so nothing kept
+    can go stale.
     """
 
     id: str
     points: np.ndarray
-    parts: tuple[int, ...] = ()
-    _embeddings: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sources: tuple = field(default=(), init=False, repr=False, compare=False)
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = _frozen_copy(self.points)
@@ -91,14 +66,19 @@ class Dataset:
             raise InputError(f"dataset {self.id!r}: points must be a nonempty (m, d) array")
         if not np.isfinite(pts).all():
             raise InputError(f"dataset {self.id!r}: points must be finite (no NaN or inf)")
-        parts = tuple(map(operator.index, self.parts)) or (len(pts),)
-        if min(parts) < 1 or sum(parts) != len(pts):
-            raise InputError(
-                f"dataset {self.id!r}: parts must be positive row counts summing to"
-                f" {len(pts)}, got {parts}"
-            )
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def _pooled(cls, id: str, sources: list[Dataset], takes: list[np.ndarray]) -> Dataset:
+        """The rows takes[p] (indices, repeats allowed) of each sources[p], in
+        source order, recording per source how often each atom was taken."""
+        pooled = cls(id, np.concatenate([s.points[t] for s, t in zip(sources, takes)]))
+        taken = tuple(
+            (s, _frozen_copy(np.bincount(s._distinct[1][t], minlength=len(s._distinct[0]))))
+            for s, t in zip(sources, takes)
+        )
+        object.__setattr__(pooled, "_sources", taken)
+        return pooled
 
     @property
     def dim(self) -> int:
@@ -125,30 +105,6 @@ class Dataset:
         """
         rows, _, counts = self._distinct
         return rows, counts
-
-    @cached_property
-    def _part_atoms(self) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
-        """The atoms in the order the Gram pass takes them, their weights, and
-        the atom indices at which the parts start, and the number of atoms.
-
-        When no row is in two parts, that is each part's own atoms (sorted) in
-        part order, so each part is one run of the pass. Otherwise, as for a
-        single part, it is `atoms` as one run: lattice parts share most of
-        their rows, and one run keeps each of them one atom.
-        """
-        rows, inverse, counts = self._distinct
-        if len(self.parts) > 1:
-            part = np.repeat(np.arange(len(self.parts)), self.parts)
-            owner = np.empty(len(rows), dtype=np.intp)
-            owner[inverse] = part  # the part of one of each atom's rows
-            if (owner[inverse] == part).all():  # no row in two parts
-                # by part, and sorted within each part
-                at = np.argsort(owner, kind="stable")
-                own_rows, own_counts = rows[at], counts[at]
-                own_rows.flags.writeable = own_counts.flags.writeable = False
-                sizes = np.bincount(owner, minlength=len(self.parts)).tolist()
-                return own_rows, own_counts, tuple(itertools.accumulate(sizes, initial=0))
-        return rows, counts, (0, len(rows))
 
 
 @dataclass(frozen=True)

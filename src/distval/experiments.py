@@ -461,7 +461,7 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
         d_gt, d_mix, mmd2 = [], [], []
         for data in (honest, mis):
             # The uniform mixture is rebuilt from whatever the vendors submitted.
-            mix = Dataset("mix", np.concatenate([d.points for d in data], axis=0))
+            mix = Dataset._pooled("mix", data, [np.arange(len(d)) for d in data])
             d_gt.append([mmd_biased(cfg.kernel, d, ref_gt) for d in data])
             d_mix.append([mmd_biased(cfg.kernel, d, mix) for d in data])
             mmd2.append([mmd2_unbiased(cfg.kernel, d, mix) for d in data])

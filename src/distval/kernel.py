@@ -12,18 +12,15 @@ column per weighting, so a group of weightings shares every block. The
 centring keeps the expanded quadratic from cancelling away the precision of
 points far from the origin. A self-sum (both sides equal by content)
 evaluates only the upper triangle, since K(X, X) is symmetric with a unit
-diagonal, and forms only its row sums. The kernel mean embedding's triangle
-(`mmd._embedding`) is the one pass that also forms the triangle's column
-sums, from which K(X, X) w follows, and, for rows made of consecutive
-parts, each row's sum within its own part (one extra product per block and
-part), from which each part's own self-sum follows.
+diagonal. Every pass forms row sums and nothing else; a pass given column
+segments (a pooled sample's table, `mmd._Table`) keeps each row's sums per
+segment, with one product per block and segment.
 The blocks are grouped into at most 8 chunks of about equal entries; each
 chunk reuses one block buffer, and the calling thread takes chunks
 alongside threads - 1 pool workers. Results are identical for any worker
-count: the blocks and chunks depend only on the input sizes, each row is
-reduced on its own, each chunk adds any column sums in block order, the
-chunks' partials are added in chunk order on the calling thread, and the
-weighted per-row sums are combined exactly in index order.
+count: the blocks depend only on the input sizes, each row is reduced
+within its own block, and the weighted per-row sums are combined exactly
+in index order.
 
 The bandwidth heuristic (`median_heuristic`) walks the same row blocks to
 fill one array with the n(n-1)/2 squared pairwise distances, so it never
@@ -32,7 +29,6 @@ median.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import os
 import sys
@@ -190,9 +186,9 @@ def _chunk_plan(m: int, n: int, rows: int, triangle: bool) -> list[list[int]]:
     """The starts of the row blocks of K(X, Y) or its upper triangle, grouped
     into at most _CHUNKS runs of consecutive blocks of about equal entries.
 
-    A block joins the chunk in which its first entry falls. The plan depends
-    only on the input sizes, so neither the thread count nor the order in
-    which workers take the chunks can change a bit.
+    A block joins the chunk in which its first entry falls. Each row's sums
+    come from its own block alone, so the plan sets only which blocks share a
+    buffer and how the work is split among workers: no bit depends on it.
     """
     if m <= rows:
         return [[0]]
@@ -243,15 +239,12 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     r_i = sum_j k(x_i, y_j) wy_j, over j > i only for the triangle. The
     weights wy are a vector (n,) or a matrix (n, k) with one weighting per
     column, and the results then have k columns too: each block meets the
-    weights in one matrix product. The blocks are grouped into chunks
-    (`_chunk_plan`), and each chunk reuses one block buffer. The second and
-    third results are None unless `bounds` is passed, which only the kernel
-    mean embedding's triangle does: the row indices at which consecutive
-    parts start, and the end. Its second result is then the triangle's
-    column sums c_j = sum_{i<j} wy_i k(x_i, x_j): each chunk adds its blocks'
-    column sums, in block order, into its own partial, and the partials are
-    added in chunk order. Its third result, for more than one part, is each
-    row's sum over the columns to its right within its own part.
+    weights in one matrix product. `bounds`, when passed, are the column
+    indices at which consecutive segments start, and the end: the result is
+    then (segments, m) + wy.shape[1:], each row's sum over each segment's
+    columns, and each block meets each segment's weights in a product of its
+    own. The blocks are grouped into chunks (`_chunk_plan`), and each chunk
+    reuses one block buffer.
     """
     triangle = Y is None
     A, B = _lifted(cfg, X, X if triangle else Y)
@@ -259,10 +252,9 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     rows = max(1, _BLOCK_ENTRIES // max(1, n))
     # Zeroes the diagonal and lower triangle of a block's leading square.
     lower = np.tri(min(rows, m), dtype=bool) if triangle else None
-    row_sums = np.empty((m,) + wy.shape[1:])
-    own = np.empty_like(row_sums) if bounds is not None and len(bounds) > 2 else None
+    segments = list(zip(bounds, bounds[1:])) if bounds is not None else [(0, n)]
+    row_sums = np.empty((len(segments), m) + wy.shape[1:])
     chunks = _chunk_plan(m, n, rows, triangle)
-    col_parts = [None] * len(chunks)
 
     def chunk(k: int):
         first = chunks[k][0]
@@ -274,30 +266,15 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
             _gram_block(A[lo:hi], B[c0:], buf)
             if triangle:
                 buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-            np.matmul(buf, wy[c0:], out=row_sums[lo:hi])
-            if bounds is not None:
-                cols = buf.T @ wy[lo:hi]
-                if lo == first:
-                    col_parts[k] = cols
+            for out, (s0, s1) in zip(row_sums[:, lo:hi], segments):
+                s0 = max(s0, c0)  # a triangle's block starts at column lo
+                if s0 < s1:
+                    np.matmul(buf[:, s0 - c0 : s1 - c0], wy[s0:s1], out=out)
                 else:
-                    col_parts[k][lo - first :] += cols
-            if own is not None:
-                # each part's rows in this block, over that part's columns
-                p = bisect.bisect_right(bounds, lo) - 1
-                while bounds[p] < hi:
-                    r0, r1, end = max(bounds[p], lo), min(bounds[p + 1], hi), bounds[p + 1]
-                    part = buf[r0 - lo : r1 - lo, r0 - lo : end - lo]
-                    np.matmul(part, wy[r0:end], out=own[r0:r1])
-                    p += 1
+                    out[...] = 0.0
 
     _drain(chunk, len(chunks), threads)
-    if bounds is None:
-        return row_sums, None, None
-    # the first chunk starts at row 0, so its partial spans every column
-    col_sums = col_parts[0]
-    for los, cols in zip(chunks[1:], col_parts[1:]):
-        col_sums[los[0] :] += cols
-    return row_sums, col_sums, own
+    return row_sums if bounds is not None else row_sums[0]
 
 
 def _check_threads(threads: int) -> None:
@@ -307,9 +284,10 @@ def _check_threads(threads: int) -> None:
 
 def _triangle_sum(w: np.ndarray, r: np.ndarray) -> float:
     """sum_i w_i^2 + 2 sum_i w_i r_i, exactly: the self-sum w^T K(X, X) w of
-    rows whose weighted sums over the columns to their right are r; k(x, x) = 1
-    exactly, so the diagonal contributes w_i^2."""
-    return math.fsum(np.concatenate((w * w, 2.0 * w * r)).tolist())
+    rows whose weighted sums over the columns to their right are r, or, with
+    one row of r per column segment, whose sums over each segment's columns
+    to their right are; k(x, x) = 1 exactly, so the diagonal contributes w_i^2."""
+    return math.fsum(np.concatenate((w * w, (2.0 * w * r).ravel())).tolist())
 
 
 def weighted_gram_sum(
@@ -332,8 +310,8 @@ def weighted_gram_sum(
     """
     _check_threads(threads)
     if (X is Y or np.array_equal(X, Y)) and (wx is wy or np.array_equal(wx, wy)):
-        return _triangle_sum(wx, _reduce_blocks(cfg, X, wx, threads=threads)[0])
-    row_sums = _reduce_blocks(cfg, X, wy, Y, threads)[0]
+        return _triangle_sum(wx, _reduce_blocks(cfg, X, wx, threads=threads))
+    row_sums = _reduce_blocks(cfg, X, wy, Y, threads)
     return math.fsum((wx * row_sums).tolist())
 
 

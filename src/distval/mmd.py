@@ -6,28 +6,24 @@ Three routes to the same metric:
   * mmd_discrete -- exact population MMD between finite-support distributions.
 
 All of them are formulas over weighted kernel sums. A Dataset enters as its
-distinct rows weighted by their counts. Its self-sum and its kernel mean
-embedding at those rows, g = K(U, U) w, come from one upper-triangle pass,
-once per kernel, and are kept on it; only that pass forms column sums. A
-cross sum against a sample that holds the other's rows then reads g there
-(MMD is the RKHS distance between mean embeddings, Gretton et al. 2012,
-Lemma 6), and only rows it does not hold cost kernel entries. A pooled
-sample (a uniform reference) whose parts share no row runs that pass over
-its parts, each deduplicated on its own, and also keeps each row's sum
-within its part. A sample equal to one of its parts then needs no pass of
-its own: its self-sum comes from those row sums, and its cross sum is the
-part's w^T g. Parts that share rows (lattice data) are pooled into one run,
-so no row costs twice. Two pmfs enter as one signed measure, p - q on the
-union of their supports, whose MMD is the square root of one quadratic form
-(`signed_mmd`).
+distinct rows weighted by their counts. MMD^2 is a bilinear form in the
+samples' weights (Gretton et al. 2012, Lemma 6), and a uniform or mixture
+reference is pooled from the very vendor samples it values, so each sum
+`mmd_biased` reads of a vendor against such a reference is an entry of one
+table over the reference's sources (`_Table`), which one upper-triangle
+pass fills once per kernel and which is kept on the sample. A plain sample
+is its own single source, so its table is its self-sum. Two pmfs enter as
+one signed measure, p - q on the union of their supports, whose MMD is the
+square root of one quadratic form (`signed_mmd`).
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
-from .data import Dataset, DiscretePmf, _find_rows, check_same_dim, on_union_support
+from .data import Dataset, DiscretePmf, check_same_dim, on_union_support
 from .errors import InputError
 from . import kernel
 from .kernel import (
@@ -39,41 +35,65 @@ from .kernel import (
 )
 
 
-def _embedding(
-    cfg: KernelConfig, D: Dataset, threads: int
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """The Gram self-sum w^T K(U, U) w of D's `_part_atoms` under kernel
-    `cfg`, their kernel mean embedding g = K(U, U) w and, when the parts are
-    separate runs, each atom's weighted row sum over the atoms after it in
-    its own part (else None); computed on first use and kept read-only on D.
-    One upper-triangle pass, the only one that forms column sums c, gives all
-    three: the self-sum is `_triangle_sum` of its row sums r, g = w + r + c."""
-    if cfg not in D._embeddings:
-        x, w, bounds = D._part_atoms
-        r, c, part_rows = _reduce_blocks(cfg, x, w, threads=threads, bounds=bounds)
-        g = w + r
-        g += c
-        for kept in (g, part_rows):
-            if kept is not None:
-                kept.flags.writeable = False
-        D._embeddings[cfg] = (_triangle_sum(w, r), g, part_rows)
-    return D._embeddings[cfg]
+class _Table:
+    """The Gram sums of a sample's sources under one kernel: the sample's
+    self-sum, and per source its self-sum and its cross sum with the sample.
+
+    Source p gave the sample its atoms with weights u_p (how often each was
+    taken) and has weights a_p of its own (its counts). One upper-triangle
+    pass over the taken atoms, source by source, keeps each row's sums per
+    source segment, for u and, where some source's a differs from u, for a:
+    exact sums of those give every u_p^T K u_q, a_p^T K u_q and a_p^T K a_p.
+    Atoms a source never gave the sample cost one cross pass against the
+    taken atoms and one triangle of their own, on the first lookup.
+    """
+
+    def __init__(self, cfg: KernelConfig, D: Dataset, threads: int):
+        # a plain sample is its own single source, all of whose atoms it took
+        self.cfg, self.sources, self._kept = cfg, D._sources or ((D, D.atoms[1]),), {}
+        segments = []
+        for S, u in self.sources:
+            x, a = S.atoms
+            taken = u > 0
+            segments.append((x, u, a) if taken.all() else (x[taken], u[taken], a[taken]))
+        # one source's atoms go in as they are, not copied
+        X, u, a = segments[0] if len(segments) == 1 else map(np.concatenate, zip(*segments))
+        self.X, self.W = X, u[:, None] if np.array_equal(u, a) else np.column_stack((u, a))
+        self.bounds = tuple(itertools.accumulate((len(x) for x, _, _ in segments), initial=0))
+        # R[q, i]: row i's sums over segment q's columns to its right
+        self.R = _reduce_blocks(cfg, X, self.W, threads=threads, bounds=self.bounds)
+        self.self_sum = _triangle_sum(u, self.R[:, :, 0])
+
+    def source(self, p: int, threads: int) -> tuple[float, float]:
+        """Source p's self-sum and its cross sum with the sample."""
+        if p not in self._kept:
+            (S, u_p), (lo, hi) = self.sources[p], self.bounds[p : p + 2]
+            R, u, ia = self.R, self.W[:, 0], self.W.shape[1] - 1
+            a = self.W[lo:hi, ia]
+            # a_p^T K a_p over the triangle, and a_p^T K u over every segment:
+            # the diagonal, p's rows over segments p on, and rows up to p's
+            # end over p's columns
+            own = [a * a, 2.0 * a * R[p, lo:hi, ia]]
+            cross = [a * u[lo:hi], (a * R[p:, lo:hi, 0]).ravel(), u[:hi] * R[p, :hi, ia]]
+            untaken = u_p == 0
+            if untaken.any():
+                x, c = S.atoms
+                x, c = x[untaken], c[untaken]
+                W = np.zeros((len(u), 2))
+                W[:, 0], W[lo:hi, 1] = u, a
+                V = _reduce_blocks(self.cfg, x, W, self.X, threads)
+                r = _reduce_blocks(self.cfg, x, c, threads=threads)
+                own += [2.0 * c * V[:, 1], c * c, 2.0 * c * r]
+                cross.append(c * V[:, 0])
+            self._kept[p] = tuple(math.fsum(np.concatenate(t).tolist()) for t in (own, cross))
+        return self._kept[p]
 
 
-def _equal_part(D: Dataset, S: Dataset) -> int | None:
-    """The index of a part of pooled D whose atoms and weights equal S's,
-    when D's parts are separate runs of its pass. A pass of one run keeps no
-    part row sums, and a single part is all of D, which the equal-content
-    route already took."""
-    (xd, wd, b), (x, w) = D._part_atoms, S.atoms
-    if len(b) > 2:
-        for p, (lo, hi) in enumerate(zip(b, b[1:])):
-            # equal weights sum to equal row counts, which rules most parts out
-            if D.parts[p] != len(S):
-                continue
-            if np.array_equal(xd[lo:hi], x) and np.array_equal(wd[lo:hi], w):
-                return p
-    return None
+def _table(cfg: KernelConfig, D: Dataset, threads: int) -> _Table:
+    """D's `_Table` under kernel `cfg`, computed on first use and kept on D."""
+    if cfg not in D._tables:
+        D._tables[cfg] = _Table(cfg, D, threads)
+    return D._tables[cfg]
 
 
 def _sums(
@@ -81,41 +101,27 @@ def _sums(
 ) -> tuple[float, float, float]:
     """Self-sums of A and B and their cross sum.
 
-    The cross sum works from the kept embedding g of the input with more
-    atoms (B's on a tie). When the other input equals one of its parts, its
-    self-sum is that part's and its cross sum adds up w_i g_i over the part:
-    no kernel entries of its own. Otherwise its self-sum is kept on it, an
-    atom of it that is also one of the larger input's atoms adds w_i g[idx],
-    and only the atoms not found there go through a Gram sum against it, in
-    the A-rows, B-columns orientation.
+    Inputs equal by content share one self-sum, which is also their cross
+    sum: one pass, over an input that already has its table if either does.
+    When one input is a source of the other (by identity), all three are
+    lookups in the other's table. Otherwise each self-sum comes from its own
+    table, and the cross sum is one Gram sum in the A-rows, B-columns
+    orientation.
     """
     _check_threads(threads)
-    (xa, wa), (xb, wb) = A.atoms, B.atoms
-    if A is B or (np.array_equal(xa, xb) and np.array_equal(wa, wb)):
-        s_aa, s_bb = _embedding(cfg, A, threads)[0], _embedding(cfg, B, threads)[0]
-        return s_aa, s_bb, s_aa  # the self route, as weighted_gram_sum takes it
-    a_small = len(xa) <= len(xb)
-    x, w, small, big = (xa, wa, A, B) if a_small else (xb, wb, B, A)
-    s_big, g, part_rows = _embedding(cfg, big, threads)
-    xp, _, bounds = big._part_atoms
-    p = _equal_part(big, small)
-    if p is not None:
-        lo, hi = bounds[p : p + 2]
-        s_small = _triangle_sum(w, part_rows[lo:hi])
-        cross = math.fsum((w * g[lo:hi]).tolist())
-    else:
-        s_small = _embedding(cfg, small, threads)[0]
-        idx = _find_rows(xp, x, bounds)
-        found = idx >= 0
-        terms = (w[found] * g[idx[found]]).tolist()
-        if not found.all():
-            xr, wr = x[~found], w[~found]
-            if a_small:
-                terms.append(weighted_gram_sum(cfg, xr, wr, xb, wb, threads))
-            else:
-                terms.append(weighted_gram_sum(cfg, xa, wa, xr, wr, threads))
-        cross = math.fsum(terms)
-    return (s_small, s_big, cross) if a_small else (s_big, s_small, cross)
+    # equal counts sum to equal lengths, so unequal lengths need no atoms
+    if A is B or len(A) == len(B) and all(map(np.array_equal, A.atoms, B.atoms)):
+        s = _table(cfg, A if cfg in A._tables else B, threads).self_sum
+        return s, s, s
+    for src, pooled in ((A, B), (B, A)):
+        p = next((p for p, (S, _) in enumerate(pooled._sources) if S is src), None)
+        if p is not None:
+            table = _table(cfg, pooled, threads)
+            s_src, cross = table.source(p, threads)
+            s_aa, s_bb = (s_src, table.self_sum) if src is A else (table.self_sum, s_src)
+            return s_aa, s_bb, cross
+    s_aa, s_bb = _table(cfg, A, threads).self_sum, _table(cfg, B, threads).self_sum
+    return s_aa, s_bb, weighted_gram_sum(cfg, *A.atoms, *B.atoms, threads)
 
 
 def mmd_biased(cfg: KernelConfig, D: Dataset, Dp: Dataset, threads: int = 1) -> float:
@@ -165,7 +171,7 @@ def signed_mmd(cfg: KernelConfig, support: np.ndarray, rows) -> np.ndarray:
     sums = []
     for lo in range(0, len(rows), group):
         W = rows[lo : lo + group]
-        sums += map(_triangle_sum, W, _reduce_blocks(cfg, support, W.T)[0].T)
+        sums += map(_triangle_sum, W, _reduce_blocks(cfg, support, W.T).T)
     return np.sqrt(np.maximum(sums, 0.0))
 
 

@@ -48,19 +48,13 @@ def build_uniform_reference(datasets: list[Dataset], seed: int) -> Reference:
 
     Each vendor contributes a seeded uniform subsample (without replacement) of
     size m_min = min_i |D_i|; the reference is their union, size n * m_min,
-    with the subsamples as its parts in vendor order. When the parts share no
-    row, a vendor of m_min rows is its own part, so its sums come from the
-    reference's single pass.
+    in vendor order, and records the vendors as its sources.
     """
     _common_dim(datasets)
     m_min = min(len(d) for d in datasets)
     rng = np.random.default_rng(seed)
-    parts = [d.points[rng.permutation(len(d))[:m_min]] for d in datasets]
-    data = Dataset(
-        id="uniform-reference",
-        points=np.concatenate(parts, axis=0),
-        parts=(m_min,) * len(parts),
-    )
+    takes = [rng.permutation(len(d))[:m_min] for d in datasets]
+    data = Dataset._pooled("uniform-reference", datasets, takes)
     return Reference(kind=ReferenceKind.UNIFORM, data=data)
 
 
@@ -68,21 +62,18 @@ def build_mixture_reference(
     datasets: list[Dataset], w: MixtureWeights, total: int, seed: int
 ) -> Reference:
     """Reference drawn point-by-point: vendor i with probability w_i, then a
-    uniform row of that vendor (with replacement)."""
+    uniform row of that vendor (with replacement). The rows are grouped by
+    vendor, in vendor order and each vendor's in draw order, and the
+    reference records the vendors as its sources."""
     _common_dim(datasets)
     if len(datasets) != len(w):
         raise InputError("build_mixture_reference: one weight per dataset required")
     if total < 1:
         raise InputError("build_mixture_reference: total must be >= 1")
     rng = np.random.default_rng(seed)
-    vendor = rng.choice(len(datasets), size=total, p=w.weights)
-    rows = np.empty((total, datasets[0].dim))
-    for i, d in enumerate(datasets):
-        take = vendor == i
-        k = int(take.sum())
-        if k:
-            rows[take] = d.points[rng.integers(0, len(d), size=k)]
-    data = Dataset(id="mixture-reference", points=rows)
+    draws = np.bincount(rng.choice(len(datasets), size=total, p=w.weights), minlength=len(w))
+    takes = [rng.integers(0, len(d), size=k) for d, k in zip(datasets, draws.tolist())]
+    data = Dataset._pooled("mixture-reference", datasets, takes)
     return Reference(kind=ReferenceKind.MIXTURE, data=data)
 
 

@@ -15,7 +15,7 @@ from distval import (
     mix_pmfs,
     mmd_biased,
 )
-from distval.data import _distinct_rows, _find_rows
+from distval.data import _distinct_rows
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -66,35 +66,18 @@ def test_atoms_are_distinct_rows_with_counts():
     assert counts.sum() == len(d)
 
 
-def test_parts_that_share_no_row_are_runs_of_their_own_atoms():
-    # deduplicated within each part; `atoms` stays the sorted distinct rows
-    pts = [[1.0], [0.0], [1.0], [2.0], [3.0], [2.0]]
-    d = Dataset("d", pts, parts=(3, 3))
-    assert d.atoms[0].ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
-    rows, counts, bounds = d._part_atoms
-    assert rows.ravel().tolist() == [0.0, 1.0, 2.0, 3.0]
-    assert counts.tolist() == [1.0, 2.0, 2.0, 1.0]
-    assert bounds == (0, 2, 4)
-    d = Dataset("d", pts[3:] + pts[:3], parts=(3, 3))
-    rows, counts, bounds = d._part_atoms
-    assert rows.ravel().tolist() == [2.0, 3.0, 0.0, 1.0]
-    assert counts.tolist() == [2.0, 1.0, 1.0, 2.0]
-    assert bounds == (0, 2, 4)
-    # a lookup searches part by part
-    queries = np.array([[1.0], [2.0], [5.0]])
-    assert _find_rows(rows, queries, bounds).tolist() == [3, 0, -1]
-    for bad in [(3, 4), (6, 0), (7, -1), (5,)]:
-        with pytest.raises(InputError, match="parts must be positive row counts summing to 6"):
-            Dataset("d", pts, parts=bad)
-
-
-def test_parts_that_share_a_row_are_one_run():
-    pts = [[1.0], [0.0], [1.0], [2.0], [-0.0]]
-    d = Dataset("d", pts, parts=(3, 2))
-    rows, counts = d.atoms
-    assert d._part_atoms == (rows, counts, (0, 3))
-    plain = Dataset("d", pts)
-    assert plain.parts == (5,) and plain._part_atoms[2] == (0, 3)
+def test_a_pooled_sample_records_how_often_it_took_each_source_atom():
+    a = Dataset("a", [[1.0], [0.0], [1.0], [2.0]])  # atoms 0, 1, 2
+    b = Dataset("b", [[5.0], [-0.0]])  # atoms -0.0, 5 (sorted)
+    pooled = Dataset._pooled("p", [a, b], [np.array([0, 2, 2]), np.array([], dtype=int)])
+    # the rows in source order, each source's in take order
+    assert pooled.points.ravel().tolist() == [1.0, 1.0, 1.0]
+    (sa, ua), (sb, ub) = pooled._sources
+    assert sa is a and sb is b
+    assert ua.tolist() == [0.0, 3.0, 0.0] and ub.tolist() == [0.0, 0.0]
+    assert not ua.flags.writeable
+    # a plain sample records none: it is its own single source
+    assert a._sources == () and Dataset("c", pooled.points)._sources == ()
 
 
 def test_pooled_uniform_reference_resamples_through_its_atoms():
@@ -127,40 +110,6 @@ def test_distinct_rows_match_np_unique(rows):
     assert inverse.tolist() == want_inverse.reshape(-1).tolist()
     assert counts.tolist() == want_counts.tolist()
     assert (got[inverse] == X).all()
-
-
-_LATTICE = [0.0, -0.0, 1.0, -2.5, 7.0]
-
-
-def _lattice_rows(d, values, min_size):
-    return st.lists(
-        st.lists(st.sampled_from(values), min_size=d, max_size=d), min_size=min_size, max_size=30
-    )
-
-
-@given(
-    st.integers(1, 3).flatmap(
-        lambda d: st.tuples(
-            _lattice_rows(d, _LATTICE, 1),
-            # -9.0 and 9.0 lie below and above every lattice value
-            _lattice_rows(d, _LATTICE + [-9.0, 9.0], 0),
-        )
-    )
-)
-@settings(max_examples=200, deadline=None)
-def test_find_rows_matches_brute_force(case):
-    rows, others = case
-    X = np.array(rows)
-    d = X.shape[1]
-    atoms = _distinct_rows(X)[0]
-    queries = np.concatenate(
-        [X, np.array(others).reshape(-1, d), np.full((1, d), -9.0), np.full((1, d), 9.0)]
-    )
-    want = []
-    for r in queries:
-        hits = np.flatnonzero((atoms == r).all(1))
-        want.append(int(hits[0]) if len(hits) else -1)
-    assert _find_rows(atoms, queries).tolist() == want
 
 
 def _in_order_mix(pmfs, weights):

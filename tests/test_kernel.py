@@ -25,7 +25,6 @@ from distval import (
 )
 from distval import kernel
 from distval.kernel import weighted_gram_sum
-from distval.mmd import _embedding
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -240,11 +239,10 @@ def test_self_sum_memory_stays_within_one_buffer_per_worker():
     m, d, threads = 10_000, 8, 2
     X, w = np.random.default_rng(5).normal(size=(m, d)), np.ones(m)
     # 8-byte values: the two lifted (m, d + 2) arrays, one block buffer per
-    # worker in flight (the calling thread and threads - 1 pool workers), a
-    # column partial of at most m values per chunk, and 1 MiB for the row
-    # sums, the column sums and numpy's and the interpreter's small temporaries.
-    bound = 8 * (2 * m * (d + 2) + threads * kernel._BLOCK_ENTRIES + kernel._CHUNKS * m) + 2**20
-    # the embedding's triangle, the one pass that forms column sums
+    # worker in flight (the calling thread and threads - 1 pool workers), and
+    # 1 MiB for the row sums and numpy's and the interpreter's small temporaries.
+    bound = 8 * (2 * m * (d + 2) + threads * kernel._BLOCK_ENTRIES) + 2**20
+    # a sample's own table pass: the triangle's row sums per segment
     kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))  # starts the pool
     tracemalloc.start()
     try:
@@ -308,31 +306,9 @@ def test_weighted_self_sum_matches_dense_weighted_form():
     assert weighted_gram_sum(cfg, X, w, X, w) == pytest.approx(dense, rel=1e-13)
 
 
-@pytest.mark.parametrize("unit", [True, False])
-def test_embedding_matches_dense_and_is_bit_identical_across_threads(unit):
-    # g = K(X, X) w from the triangle's row sums, column sums and diagonal
-    rng = np.random.default_rng(19)
-    cfg = KernelConfig(sigma=1.5)
-    points = rng.normal(size=(150, 3))
-    if not unit:  # repeated rows: their counts are the atoms' weights
-        points = np.repeat(points, rng.integers(1, 5, size=150), axis=0)
-    X, w = Dataset("x", points).atoms
-    dense = kernel.gram_matrix(cfg, X, X) @ w
-    # a small block size gives many blocks, each adding its column sums
-    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
-        got = [_embedding(cfg, Dataset("x", points), t) for t in (1, 2, 4)]
-        # the same block plan: bits depend on the block size, not the route
-        self_sum = weighted_gram_sum(cfg, X, w, X, w)
-    s, g, _ = got[0]
-    np.testing.assert_allclose(g, dense, rtol=1e-13, atol=0)
-    assert s == self_sum
-    for s_t, g_t, _ in got[1:]:
-        assert s_t == s and g_t.tobytes() == g.tobytes()
-
-
 def test_weight_matrix_reduction_matches_dense_and_is_bit_identical_across_threads():
-    # five weightings share each block's products; three parts add their
-    # own row sums, and the part bounds straddle the 6-row blocks
+    # five weightings share each block's products; three segments split each
+    # row's sums, and the segment bounds straddle the 6-row blocks
     rng = np.random.default_rng(23)
     cfg = KernelConfig(sigma=1.5)
     X, W = rng.normal(size=(150, 3)), rng.uniform(-1.0, 2.0, size=(150, 5))
@@ -340,34 +316,19 @@ def test_weight_matrix_reduction_matches_dense_and_is_bit_identical_across_threa
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
         got = [kernel._reduce_blocks(cfg, X, W, threads=t, bounds=bounds) for t in (1, 2, 4)]
         one = [kernel._reduce_blocks(cfg, X, w, bounds=bounds) for w in W.T]
+        whole = kernel._reduce_blocks(cfg, X, W)
     upper = np.triu(kernel.gram_matrix(cfg, X, X), 1)
-    r, c, own = got[0]
-    np.testing.assert_allclose(r, upper @ W, rtol=1e-13, atol=1e-13)
-    np.testing.assert_allclose(c, upper.T @ W, rtol=1e-13, atol=1e-13)
-    for lo, hi in zip(bounds, bounds[1:]):
-        part = upper[lo:hi, lo:hi] @ W[lo:hi]
-        np.testing.assert_allclose(own[lo:hi], part, rtol=1e-13, atol=1e-13)
-    # each column is the sums of a one-weighting pass
+    R = got[0]
+    assert R.shape == (3, 150, 5)
+    for s, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        np.testing.assert_allclose(R[s], upper[:, lo:hi] @ W[lo:hi], rtol=1e-13, atol=1e-13)
+    # the segments add up to the whole row sums, and each column is the sums
+    # of a one-weighting pass
+    np.testing.assert_allclose(R.sum(axis=0), whole, rtol=1e-13, atol=1e-13)
     for j, sums in enumerate(one):
-        for col, vec in zip((r, c, own), sums):
-            np.testing.assert_allclose(col[:, j], vec, rtol=1e-13, atol=1e-13)
-    for sums in got[1:]:
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(sums, got[0]))
-
-
-def test_only_the_embedding_triangle_forms_column_sums():
-    # a triangle without bounds, and a cross pass, return row sums alone;
-    # the triangle's row sums have the bits of the embedding's pass
-    rng = np.random.default_rng(24)
-    X, Y, W = rng.normal(size=(150, 3)), rng.normal(size=(60, 3)), rng.normal(size=(150, 4))
-    with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
-        for t in (1, 2):
-            r, c, own = kernel._reduce_blocks(CFG, X, W, threads=t)
-            assert c is None and own is None
-            embedding = kernel._reduce_blocks(CFG, X, W, threads=t, bounds=(0, 150))
-            assert r.tobytes() == embedding[0].tobytes()
-            assert embedding[2] is None  # one part keeps no part row sums
-            assert kernel._reduce_blocks(CFG, Y, W, X, t)[1:] == (None, None)
+        np.testing.assert_allclose(R[:, :, j], sums, rtol=1e-13, atol=1e-13)
+    for r in got[1:]:
+        assert r.tobytes() == R.tobytes()
 
 
 @pytest.mark.parametrize("unit", [True, False])
@@ -552,9 +513,9 @@ def test_lifted_blocks_bit_identical_across_threads(symmetric):
         Y, wy = rng.normal(size=(170, 5)) + 1e8, rng.uniform(0.5, 2.0, size=170)
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 2000):
         if symmetric:
-            # the embedding's triangle: its row sums and column sums
-            got = [kernel._reduce_blocks(cfg, X, wx, threads=t, bounds=(0, 200)) for t in (1, 2, 4)]
-            got = [(r.tobytes(), c.tobytes()) for r, c, _ in got]
+            # a table's triangle: each row's sums per segment
+            bounds = (0, 70, 200)
+            got = [kernel._reduce_blocks(cfg, X, wx, None, t, bounds).tobytes() for t in (1, 2, 4)]
         else:
             got = [weighted_gram_sum(cfg, X, wx, Y, wy, threads=t) for t in (1, 2, 4)]
     assert got[0] == got[1] == got[2]

@@ -14,6 +14,8 @@ from distval import (
     InputError,
     KernelConfig,
     MixtureWeights,
+    Reference,
+    ReferenceKind,
     build_mixture_reference,
     build_uniform_reference,
     median_heuristic,
@@ -25,9 +27,9 @@ from distval import (
     sample_huber,
     value_dataset,
 )
-from distval.data import _find_rows
+from distval import mmd
 from distval.kernel import weighted_gram_sum
-from distval.mmd import _embedding, _equal_part, _sums, signed_mmd
+from distval.mmd import _sums, _table, signed_mmd
 
 CFG = KernelConfig(sigma=1.0)
 
@@ -102,16 +104,15 @@ def _lookup_case(case):
 @pytest.mark.parametrize("case", ["mixture", "ground-truth", "signed-zero"])
 def test_lookup_cross_sum_agrees_with_the_direct_sum(case):
     vendors, ref = _lookup_case(case)
-    found = np.concatenate([_find_rows(ref.atoms[0], d.atoms[0]) >= 0 for d in vendors])
-    share = {"mixture": (0.2, 0.8), "ground-truth": (0.0, 0.0), "signed-zero": (1.0, 1.0)}[case]
-    assert share[0] <= found.mean() <= share[1]
+    # a mixture's vendors are its sources, whose sums are table lookups
+    assert [S for S, _ in ref._sources] == (vendors if case == "mixture" else [])
     for d in vendors:
         for A, B in ((d, ref), (ref, d)):
             direct = weighted_gram_sum(CFG, *A.atoms, *B.atoms)
             got = _sums(CFG, A, B)[2]
             assert got == pytest.approx(direct, rel=1e-13)
-            if case == "ground-truth":
-                assert got == direct  # no row found: the direct sum itself
+            if case != "mixture":
+                assert got == direct  # no source: the direct sum itself
 
 
 def test_equal_inputs_and_a_one_vendor_uniform_reference_give_exactly_zero():
@@ -338,10 +339,11 @@ def test_biased_and_bandwidth_invariant_under_translation(shift, data):
     assert moved**2 == pytest.approx(base**2, abs=1e-12)
 
 
-# A uniform reference keeps its vendors' subsamples as parts. When they share
-# no row, a vendor whose atoms equal a part's reads its self-sum and cross sum
-# from the reference's one triangle pass; the same rows as a plain sample take
-# the lookup route. Parts that share rows are one run and take that route too.
+# A uniform reference records its vendors as its sources, and each vendor's
+# subsample is its part of the reference. A vendor reads its self-sum and its
+# cross sum from the reference's table (the part route); the same rows as a
+# plain sample, against a plain copy of the reference, compute their own (the
+# lookup-free route). Lattice vendors share rows, which the table keeps apart.
 
 
 def _market(seed, dim, kind, sizes):
@@ -370,19 +372,10 @@ def test_part_route_matches_the_lookup_route_across_threads(kind, seed, dim, siz
             vendors = _market(seed, dim, kind, sizes)
             ref = build_uniform_reference(vendors, seed=5).data
             plain = Dataset("plain", ref.points)
-            assert ref.parts == (min(sizes),) * len(sizes)
-            runs = len(ref._part_atoms[2]) - 1
-            shared = len(np.unique(ref.points, axis=0)) < sum(
-                len(np.unique(ref.points[lo : lo + min(sizes)], axis=0))
-                for lo in range(0, len(ref), min(sizes))
-            )
-            assert runs == (1 if shared else len(sizes))
-            if kind != "lattice-shared":
-                assert not shared
+            assert [S for S, _ in ref._sources] == vendors
+            assert all(u.sum() == min(sizes) for _, u in ref._sources)
             sums = []
             for v in vendors:
-                part_route = not shared and len(v) == min(sizes)
-                assert (_equal_part(ref, v) is not None) == part_route
                 part = _sums(CFG, v, ref, threads)
                 lookup = _sums(CFG, Dataset(v.id, v.points), plain, threads)
                 np.testing.assert_allclose(part, lookup, rtol=1e-13, atol=0)
@@ -400,25 +393,87 @@ def test_part_route_matches_the_lookup_route_across_threads(kind, seed, dim, siz
 
 @pytest.mark.parametrize("kind", ["continuous", "lattice-own"])
 def test_part_sums_bit_identical_across_threads(kind):
-    # 5 parts of 37 rows in blocks of a few rows, grouped into 8 chunks: the
-    # parts straddle block boundaries
+    # 5 sources of 37 rows in blocks of a few rows, grouped into 8 chunks: the
+    # segments straddle block boundaries
     got = []
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
         for threads in (1, 2, 4):
             vendors = _market(31, 3, kind, [37] * 5)
             ref = build_uniform_reference(vendors, seed=5).data
-            bounds = ref._part_atoms[2]
-            n, rows = bounds[-1], 1000 // bounds[-1]
+            table = _table(CFG, ref, threads)
+            bounds, n = table.bounds, table.bounds[-1]
+            rows = 1000 // n
             assert len(bounds) == 6
             assert len(kernel._chunk_plan(n, n, rows, True)) == kernel._CHUNKS
             assert any(b % rows for b in bounds[1:-1])
-            s, g, part_rows = _embedding(CFG, ref, threads)
             sums = [_sums(CFG, v, ref, threads) for v in vendors]
-            got.append((s, g.tobytes(), part_rows.tobytes(), sums))
+            got.append((table.self_sum, table.R.tobytes(), sums))
     assert got[0] == got[1] == got[2]
-    # each part's self-sum is its vendor's own, within rounding
-    for v, (s_v, _, _) in zip(vendors, got[0][3]):
+    # each vendor's self-sum is its own, within rounding
+    for v, (s_v, _, _) in zip(vendors, got[0][2]):
         assert s_v == pytest.approx(weighted_gram_sum(CFG, *v.atoms, *v.atoms), rel=1e-13)
+
+
+def _shortcut_market(kind, sizes, data):
+    rng = np.random.default_rng(41)
+    if data == "gaussian":
+        draw = [rng.normal(0.3 * i, 1.0, size=(m, 3)) for i, m in enumerate(sizes)]
+    else:  # the 1-D lattice {0, ..., 10}
+        draw = [rng.integers(0, 11, size=(m, 1)) for m in sizes]
+    vendors = [Dataset(f"v{i}", x) for i, x in enumerate(draw)]
+    if kind == "uniform":
+        return vendors, build_uniform_reference(vendors, seed=7)
+    w = MixtureWeights.uniform(len(sizes))
+    return vendors, build_mixture_reference(vendors, w, 4 * min(sizes), seed=7)
+
+
+@pytest.mark.parametrize("data", ["gaussian", "lattice"])
+@pytest.mark.parametrize("sizes", [[400] * 4, [300, 400, 500, 700], [50, 1500, 1500, 1500]])
+@pytest.mark.parametrize("kind", ["uniform", "mixture"])
+def test_source_lookups_match_a_copy_and_dense_across_threads(kind, sizes, data):
+    # a vendor's identity as a source of the reference is only a shortcut: an
+    # equal-content copy, which is no source, takes the two-table route and
+    # scores the same, and so does a dense Gram matrix
+    cfg = KernelConfig(sigma=2.0)
+    got = []
+    for threads in (1, 2, 4):
+        vendors, ref = _shortcut_market(kind, sizes, data)
+        got.append([value_dataset(cfg, v, ref, threads) for v in vendors])
+    assert got[0] == got[1] == got[2]
+    ref_rows, w_ref = ref.data.atoms
+    K_ref = kernel.gram_matrix(cfg, ref_rows, ref_rows)
+    s_ref = w_ref @ K_ref @ w_ref
+    for v, value in zip(vendors, got[0]):
+        copy = Dataset(v.id, v.points)
+        assert any(S is v for S, _ in ref.data._sources) and copy._sources == ()
+        copied = value_dataset(cfg, copy, ref)
+        x, w = v.atoms
+        m, n = len(v), len(ref.data)
+        s_v = w @ kernel.gram_matrix(cfg, x, x) @ w
+        s_x = w @ kernel.gram_matrix(cfg, x, ref_rows) @ w_ref
+        dense = -math.sqrt(max(s_v / m**2 + s_ref / n**2 - 2 * s_x / (m * n), 0.0))
+        assert copied == pytest.approx(value, rel=1e-12, abs=0)
+        assert dense == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_equal_content_inputs_make_one_triangle_pass(monkeypatch):
+    # a vendor whose rows are the ground-truth file's: one pass, the
+    # reference's, gives both self-sums and the cross sum
+    rng = np.random.default_rng(42)
+    pts = rng.normal(size=(300, 2))
+    ref = Reference(ReferenceKind.GROUND_TRUTH, Dataset("gt", pts))
+    triangles = []
+    real = mmd._reduce_blocks
+
+    def counting(cfg, X, wy, Y=None, threads=1, bounds=None):
+        if Y is None:
+            triangles.append(len(X))
+        return real(cfg, X, wy, Y, threads, bounds)
+
+    monkeypatch.setattr(mmd, "_reduce_blocks", counting)
+    assert value_dataset(CFG, Dataset("v", pts[::-1]), ref) == 0.0
+    assert value_dataset(CFG, Dataset("w", pts.copy()), ref) == 0.0
+    assert triangles == [300]
 
 
 def test_signed_mmd_groups_of_rows_agree_with_one_row_calls():

@@ -12,7 +12,9 @@ from distval import (
     PolicyParams,
     Reference,
     ReferenceKind,
+    MixtureWeights,
     Verdict,
+    build_mixture_reference,
     build_uniform_reference,
     compare,
     confidence_delta,
@@ -282,22 +284,40 @@ def _triangle_entries(m, block_entries):
 
 
 @pytest.mark.parametrize(
-    "reference", ["uniform", "ground_truth", "uniform-compare", "uniform-larger"]
+    "reference",
+    ["uniform", "ground_truth", "uniform-compare", "uniform-larger", "mixture", "skewed"],
 )
 def test_rank_kernel_entries_match_the_block_plan(monkeypatch, reference):
     rng = np.random.default_rng(23)
     vendors = [Dataset(f"v{i}", rng.normal(i, 1.0, size=(40, 2))) for i in range(5)]
     if reference == "uniform-larger":
         vendors[0] = Dataset("v0", rng.normal(size=(60, 2)))
+    if reference == "skewed":
+        vendors[0] = Dataset("v0", rng.normal(size=(10, 2)))
     if reference.startswith("uniform"):
-        # each 40-row vendor is a part of the reference: its self-sum and
-        # cross sum come from the one 200-row triangle
+        # each vendor is a source of the reference: its self-sum and cross
+        # sum come from the one 200-row triangle
         ref = build_uniform_reference(vendors, seed=5)
         expected = _triangle_entries(200, 1000)
         if reference == "uniform-larger":
-            # the 60-row vendor keeps its own triangle, and its 20 rows
-            # outside its part are summed against the whole reference
-            expected += _triangle_entries(60, 1000) + 20 * 200
+            # the 20 rows the 60-row vendor did not give the reference are
+            # summed against it, and make one triangle of their own
+            expected += 20 * 200 + _triangle_entries(20, 1000)
+    elif reference == "skewed":
+        # m_min = 10: the 50-row triangle, and the 30 rows each 40-row vendor
+        # did not give are summed against it and make a triangle of their own
+        ref = build_uniform_reference(vendors, seed=5)
+        expected = _triangle_entries(50, 1000) + 4 * (30 * 50 + _triangle_entries(30, 1000))
+    elif reference == "mixture":
+        # 200 rows drawn with replacement: the triangle over the distinct rows
+        # drawn, and each vendor's rows never drawn against them and alone
+        ref = build_mixture_reference(vendors, MixtureWeights.uniform(5), 200, seed=5)
+        taken = [int((u > 0).sum()) for _, u in ref.data._sources]
+        assert taken == [28, 29, 26, 27, 27]
+        n = sum(taken)
+        expected = _triangle_entries(n, 1000) + sum(
+            (40 - t) * n + _triangle_entries(40 - t, 1000) for t in taken
+        )
     else:
         # no vendor row is in the reference: five full 40 x 150 cross sums
         ref = _gt_ref(Dataset("gt", rng.normal(size=(150, 2))))
