@@ -228,6 +228,13 @@ def _build_reference(cfg: dict, datasets, gt, seed: int | None) -> Reference:
     kind = ReferenceKind(sec.get("kind", one_of(ReferenceKind), "uniform"))
     weights = sec.get("weights", NUMBERS, None)
     total = sec.get("total", COUNT, None)
+    if kind is not ReferenceKind.MIXTURE:
+        for key, value in (("weights", weights), ("total", total)):
+            if value is not None:
+                raise InputError(
+                    f"config: reference.{key} applies only to a 'mixture' reference,"
+                    f" not '{kind.value}'"
+                )
     if kind is ReferenceKind.GROUND_TRUTH:
         if gt is None:
             raise InputError("reference kind 'ground_truth' needs manifest.ground_truth")

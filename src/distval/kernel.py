@@ -15,12 +15,11 @@ evaluates only the upper triangle, since K(X, X) is symmetric with a unit
 diagonal. Every pass forms row sums and nothing else; a pass given column
 segments (a pooled sample's table, `mmd._Table`) keeps each row's sums per
 segment, with one product per block and segment.
-The blocks are grouped into at most 8 chunks of about equal entries; each
-chunk reuses one block buffer, and the calling thread takes chunks
-alongside threads - 1 pool workers. Results are identical for any worker
-count: the blocks depend only on the input sizes, each row is reduced
-within its own block, and the weighted per-row sums are combined exactly
-in index order.
+The calling thread and up to threads - 1 pool workers take the row blocks
+one at a time, in row order, and each reuses one block buffer. Results are
+identical for any worker count: the blocks depend only on the input sizes,
+each row is reduced within its own block, and the weighted per-row sums are
+combined exactly in index order.
 
 The bandwidth heuristic (`median_heuristic`) walks the same row blocks to
 fill one array with the n(n-1)/2 squared pairwise distances, so it never
@@ -47,11 +46,6 @@ _BLOCK_ENTRIES = 262_144
 # The largest half squared norm a lifted row may have: it keeps every partial
 # sum of a lifted product within 2^1023, half the float64 range.
 _LIFT_MAX = 2.0**1021
-
-# Row blocks are grouped into at most this many chunks of about equal kernel
-# entries; each chunk allocates one block buffer and reuses it for every block.
-# The count never depends on the thread count, so neither do the bits.
-_CHUNKS = 8
 
 # Rows the bandwidth heuristic subsamples (with seed 0) from a larger pool.
 _MEDIAN_CAP = 1000
@@ -182,50 +176,35 @@ def _pool(workers: int) -> ThreadPoolExecutor:
         return _POOLS[workers]
 
 
-def _chunk_plan(m: int, n: int, rows: int, triangle: bool) -> list[list[int]]:
-    """The starts of the row blocks of K(X, Y) or its upper triangle, grouped
-    into at most _CHUNKS runs of consecutive blocks of about equal entries.
-
-    A block joins the chunk in which its first entry falls. Each row's sums
-    come from its own block alone, so the plan sets only which blocks share a
-    buffer and how the work is split among workers: no bit depends on it.
-    """
-    if m <= rows:
-        return [[0]]
-    los = range(0, m, rows)
-    entries = [(min(lo + rows, m) - lo) * (n - lo if triangle else n) for lo in los]
-    total, before = max(1, sum(entries)), 0
-    chunks: dict[int, list[int]] = {}
-    for lo, e in zip(los, entries):
-        chunks.setdefault(before * _CHUNKS // total, []).append(lo)
-        before += e
-    return list(chunks.values())
-
-
-def _drain(work, count: int, threads: int) -> None:
-    """work(k) for every k < count, taken in order by the calling thread and
-    by up to threads - 1 pool workers alongside it; one chunk starts no pool."""
-    workers = min(threads, count) - 1
+def _drain(work, starts, threads: int) -> None:
+    """work(lo, space) for every lo in starts, taken in order by the calling
+    thread and by up to threads - 1 pool workers alongside it; a single
+    taker runs a plain loop, with no lock and no pool. A taker's first call
+    gets space None and each later call what its previous call returned, so
+    work allocates its buffer once per taker."""
+    workers = min(threads, len(starts)) - 1
     if workers < 1:
-        for k in range(count):
-            work(k)
+        space = None
+        for lo in starts:
+            space = work(lo, space)
         return
-    todo = iter(range(count))
+    todo = iter(starts)
     lock = threading.Lock()
 
     def take():
+        space = None
         while True:
             with lock:
-                k = next(todo, None)
-            if k is None:
+                lo = next(todo, None)
+            if lo is None:
                 return
-            work(k)
+            space = work(lo, space)
 
     futures = [_pool(workers).submit(take) for _ in range(workers)]
     try:
         take()
     finally:
-        # A task still queued behind other callers' work would find no chunk
+        # A task still queued behind other callers' work would find no block
         # left, so it is cancelled; one that started is waited for.
         for f in futures:
             if not f.cancel():
@@ -243,8 +222,10 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     indices at which consecutive segments start, and the end: the result is
     then (segments, m) + wy.shape[1:], each row's sum over each segment's
     columns, and each block meets each segment's weights in a product of its
-    own. The blocks are grouped into chunks (`_chunk_plan`), and each chunk
-    reuses one block buffer.
+    own. Each taker of blocks (`_drain`) allocates one block buffer, sized
+    by its first block, and reuses it: blocks go out in row order, a
+    triangle's later blocks are narrower, and only the last block has fewer
+    rows, so a taker's first block is its largest.
     """
     triangle = Y is None
     A, B = _lifted(cfg, X, X if triangle else Y)
@@ -254,26 +235,25 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     lower = np.tri(min(rows, m), dtype=bool) if triangle else None
     segments = list(zip(bounds, bounds[1:])) if bounds is not None else [(0, n)]
     row_sums = np.empty((len(segments), m) + wy.shape[1:])
-    chunks = _chunk_plan(m, n, rows, triangle)
 
-    def chunk(k: int):
-        first = chunks[k][0]
-        space = np.empty(min(rows, m - first) * (n - first if triangle else n))
-        for lo in chunks[k]:
-            hi = min(lo + rows, m)
-            c0 = lo if triangle else 0
-            buf = space[: (hi - lo) * (n - c0)].reshape(hi - lo, n - c0)
-            _gram_block(A[lo:hi], B[c0:], buf)
-            if triangle:
-                buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
-            for out, (s0, s1) in zip(row_sums[:, lo:hi], segments):
-                s0 = max(s0, c0)  # a triangle's block starts at column lo
-                if s0 < s1:
-                    np.matmul(buf[:, s0 - c0 : s1 - c0], wy[s0:s1], out=out)
-                else:
-                    out[...] = 0.0
+    def block(lo: int, space):
+        hi = min(lo + rows, m)
+        c0 = lo if triangle else 0
+        if space is None:
+            space = np.empty((hi - lo) * (n - c0))
+        buf = space[: (hi - lo) * (n - c0)].reshape(hi - lo, n - c0)
+        _gram_block(A[lo:hi], B[c0:], buf)
+        if triangle:
+            buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
+        for out, (s0, s1) in zip(row_sums[:, lo:hi], segments):
+            s0 = max(s0, c0)  # a triangle's block starts at column lo
+            if s0 < s1:
+                np.matmul(buf[:, s0 - c0 : s1 - c0], wy[s0:s1], out=out)
+            else:
+                out[...] = 0.0
+        return space
 
-    _drain(chunk, len(chunks), threads)
+    _drain(block, range(0, m, rows), threads)
     return row_sums if bounds is not None else row_sums[0]
 
 

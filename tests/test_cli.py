@@ -676,6 +676,11 @@ def _extra_case(name, key, value):
         ("value", "reference", {**_MIXTURE, "total": 0}, "reference.total"),
         ("experiment", "experiment.n", 0, "experiment.n"),
         ("experiment", "experiment.trials", 0, "experiment.trials"),
+        # once ignored: the mixture's keys on another kind of reference
+        ("value", "reference", {"kind": "uniform", "weights": [0.1]}, "reference.weights"),
+        ("value", "reference", {"kind": "uniform", "total": 5}, "reference.total"),
+        ("value", "reference", {"kind": "ground_truth", "weights": [7.0]}, "reference.weights"),
+        ("value", "reference", {"kind": "ground_truth", "total": 3}, "reference.total"),
     ],
 )
 def test_malformed_config_is_input_error(

@@ -354,11 +354,11 @@ def test_tiny_blocks_agree_with_default_block_size(same):
 def test_pool_never_larger_than_the_block_count():
     rng = np.random.default_rng(16)
     X, w = rng.normal(size=(3, 2)), np.ones(3)
-    # the calling thread takes chunks too: at most min(threads, chunks) - 1 pool workers
+    # the calling thread takes blocks too: at most min(threads, blocks) - 1 pool workers
     with mock.patch.dict(kernel._POOLS, clear=True), mock.patch.object(kernel, "_BLOCK_ENTRIES", 3):
-        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one chunk starts no pool
+        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one block starts no pool
         assert set(kernel._POOLS) == set()
-        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks, 3 chunks
+        weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks
         assert set(kernel._POOLS) == {2}
         weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=2)
         assert set(kernel._POOLS) == {1, 2}

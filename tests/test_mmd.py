@@ -365,7 +365,7 @@ def _market(seed, dim, kind, sizes):
 @settings(max_examples=60, deadline=None)
 def test_part_route_matches_the_lookup_route_across_threads(kind, seed, dim, sizes):
     got = []
-    # a tiny block size splits the reference into many blocks and chunks
+    # a tiny block size splits the reference into many blocks
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 16):
         for threads in (1, 2, 4):
             # fresh datasets, so that no thread count reads another's kept sums
@@ -393,22 +393,22 @@ def test_part_route_matches_the_lookup_route_across_threads(kind, seed, dim, siz
 
 @pytest.mark.parametrize("kind", ["continuous", "lattice-own"])
 def test_part_sums_bit_identical_across_threads(kind):
-    # 5 sources of 37 rows in blocks of a few rows, grouped into 8 chunks: the
-    # segments straddle block boundaries
+    # 5 sources of 37 rows in blocks of a few rows, more blocks than takers:
+    # the segments straddle block boundaries
     got = []
     with mock.patch.object(kernel, "_BLOCK_ENTRIES", 1000):
-        for threads in (1, 2, 4):
+        for threads in (1, 2, 3, 4):
             vendors = _market(31, 3, kind, [37] * 5)
             ref = build_uniform_reference(vendors, seed=5).data
             table = _table(CFG, ref, threads)
             bounds, n = table.bounds, table.bounds[-1]
             rows = 1000 // n
             assert len(bounds) == 6
-            assert len(kernel._chunk_plan(n, n, rows, True)) == kernel._CHUNKS
+            assert -(-n // rows) > threads
             assert any(b % rows for b in bounds[1:-1])
             sums = [_sums(CFG, v, ref, threads) for v in vendors]
             got.append((table.self_sum, table.R.tobytes(), sums))
-    assert got[0] == got[1] == got[2]
+    assert got[0] == got[1] == got[2] == got[3]
     # each vendor's self-sum is its own, within rounding
     for v, (s_v, _, _) in zip(vendors, got[0][2]):
         assert s_v == pytest.approx(weighted_gram_sum(CFG, *v.atoms, *v.atoms), rel=1e-13)
