@@ -89,7 +89,8 @@ def _read_csv_points(path: str, dim: int, has_header: bool, owner: str) -> np.nd
 
     `np.loadtxt` reads a well-formed file. Anything it refuses, or reads as a
     different shape or with a non-finite cell, goes through the per-cell
-    reader, which accepts the same files and names the first bad cell.
+    reader, which names the first bad cell. That reader accepts the files
+    `np.loadtxt` reads, and also quoted cells and lines of only whitespace.
     """
     text = _read_text(path, f"{owner}: file")
     try:
@@ -120,8 +121,10 @@ def _parse_csv_cells(text: str, path: str, dim: int, has_header: bool, owner: st
             )
         row = []
         for col, cell in enumerate(cells, start=1):
+            # float() also takes digit separators and non-ASCII digits, which
+            # np.loadtxt refuses: "1_0" would read as 10.0 and "\u0661" as 1.0.
             try:
-                value = float(cell)
+                value = float(cell) if "_" not in cell and cell.strip().isascii() else math.nan
             except ValueError:
                 value = math.nan
             if not math.isfinite(value):

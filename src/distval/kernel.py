@@ -16,15 +16,16 @@ diagonal. Every pass forms row sums and nothing else; a pass given column
 segments (a pooled sample's table, `mmd._Table`) keeps each row's sums per
 segment, with one product per block and segment.
 The calling thread and up to threads - 1 pool workers take the row blocks
-one at a time, in row order, and each reuses one block buffer. Results are
-identical for any worker count: the blocks depend only on the input sizes,
-each row is reduced within its own block, and the weighted per-row sums are
-combined exactly in index order.
+one at a time, in row order, and each block allocates a buffer of its own
+size. Results are identical for any worker count: the blocks depend only on
+the input sizes, each row is reduced within its own block, and the weighted
+per-row sums are combined exactly in index order.
 
-The bandwidth heuristic (`median_heuristic`) walks the same row blocks to
-fill one array with the n(n-1)/2 squared pairwise distances, so it never
-holds the n x n matrix, and one in-place partition of that array gives the
-median.
+The bandwidth heuristic (`median_heuristic`) lifts the rows at sigma 1 and
+walks the same row blocks to fill one array with the n(n-1)/2 exponents
+-||x - y||^2 / 2, so it never holds the n x n matrix; one in-place
+partition of that array gives the middle exponents, and only they become
+distances.
 """
 from __future__ import annotations
 
@@ -56,9 +57,9 @@ _MEDIAN_CAP = 1000
 K_BOUND = 1.0
 
 # One reused pool per worker count, created on first use. A fresh executor
-# per sum starts its threads every time: that measured 5-41% slower on a
-# 10,000-row self-sum and 13-52% on a 2,000-row one (2 threads, BLAS at 1
-# thread).
+# per sum starts its threads every time: that measured level on a 10,000-row
+# self-sum but 9% slower on a 2,000-row triangle and 26% on a 500 x 1,000
+# cross sum (2 threads, BLAS at 1 thread).
 _POOLS: dict[int, ThreadPoolExecutor] = {}
 _POOLS_LOCK = threading.Lock()
 
@@ -94,44 +95,24 @@ def _sq_norms(X: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", X, X)
 
 
-def _centered(X: np.ndarray, Y: np.ndarray):
-    """X and Y less their pooled mean.
-
-    The shift leaves every distance unchanged, and it keeps the expanded
-    quadratic from cancelling away the precision of points far from the
-    origin.
-    """
-    if Y is X:
-        Xc = X - X.mean(axis=0)
-        return Xc, Xc
-    c = (X.sum(axis=0) + Y.sum(axis=0)) / (X.shape[0] + Y.shape[0])
-    return X - c, Y - c
-
-
-def _sq_dists(X, xx, Y, yy, out: np.ndarray) -> np.ndarray:
-    # ||x - y||^2 via the expanded quadratic, in place in `out`; clipped,
-    # since cancellation can produce tiny negatives for near-identical points.
-    np.matmul(X, Y.T, out=out)
-    out *= -2.0
-    out += xx[:, None]
-    out += yy
-    return np.maximum(out, 0.0, out=out)
-
-
 def _lifted(cfg: KernelConfig, X: np.ndarray, Y: np.ndarray):
     """Rows of X and Y lifted so that A @ B.T = -||x - y||^2 / (2 sigma^2).
 
     With x and y centred on the pooled mean and divided by sigma, the lifted
     row of x is a = [x, -|x|^2 / 2, 1] and that of y is b = [y, 1, -|y|^2 / 2],
-    so one matrix product gives a block's whole exponent. Every partial sum
-    of a . b is at most |x|^2 + |y|^2 in magnitude, so each row's |x|^2 / 2 is
+    so one matrix product gives a block's whole exponent. The centring leaves
+    every distance unchanged and keeps the expanded quadratic from cancelling
+    away the precision of points far from the origin. Every partial sum of
+    a . b is at most |x|^2 + |y|^2 in magnitude, so each row's |x|^2 / 2 is
     held to _LIFT_MAX, which keeps the product clear of overflow; a row
     further than 2^511 sigma from the mean raises InputError instead.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        Xc, Yc = _centered(X, Y)
-        Xs = Xc / cfg.sigma
-        Ys = Xs if Yc is Xc else Yc / cfg.sigma
+        if Y is X:
+            Xs = Ys = (X - X.mean(axis=0)) / cfg.sigma
+        else:
+            c = (X.sum(axis=0) + Y.sum(axis=0)) / (X.shape[0] + Y.shape[0])
+            Xs, Ys = (X - c) / cfg.sigma, (Y - c) / cfg.sigma
         hx = -0.5 * _sq_norms(Xs)
         hy = hx if Ys is Xs else -0.5 * _sq_norms(Ys)
     # False for NaN, so an overflow anywhere above is caught here too.
@@ -177,28 +158,24 @@ def _pool(workers: int) -> ThreadPoolExecutor:
 
 
 def _drain(work, starts, threads: int) -> None:
-    """work(lo, space) for every lo in starts, taken in order by the calling
-    thread and by up to threads - 1 pool workers alongside it; a single
-    taker runs a plain loop, with no lock and no pool. A taker's first call
-    gets space None and each later call what its previous call returned, so
-    work allocates its buffer once per taker."""
+    """work(lo) for every lo in starts, taken in order by the calling thread
+    and by up to threads - 1 pool workers alongside it; a single taker runs a
+    plain loop, with no lock and no pool."""
     workers = min(threads, len(starts)) - 1
     if workers < 1:
-        space = None
         for lo in starts:
-            space = work(lo, space)
+            work(lo)
         return
     todo = iter(starts)
     lock = threading.Lock()
 
     def take():
-        space = None
         while True:
             with lock:
                 lo = next(todo, None)
             if lo is None:
                 return
-            space = work(lo, space)
+            work(lo)
 
     futures = [_pool(workers).submit(take) for _ in range(workers)]
     try:
@@ -222,10 +199,8 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     indices at which consecutive segments start, and the end: the result is
     then (segments, m) + wy.shape[1:], each row's sum over each segment's
     columns, and each block meets each segment's weights in a product of its
-    own. Each taker of blocks (`_drain`) allocates one block buffer, sized
-    by its first block, and reuses it: blocks go out in row order, a
-    triangle's later blocks are narrower, and only the last block has fewer
-    rows, so a taker's first block is its largest.
+    own. Each block allocates a buffer of its own size, dropped when the
+    block is reduced, so a taker of blocks (`_drain`) holds one at a time.
     """
     triangle = Y is None
     A, B = _lifted(cfg, X, X if triangle else Y)
@@ -236,13 +211,10 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
     segments = list(zip(bounds, bounds[1:])) if bounds is not None else [(0, n)]
     row_sums = np.empty((len(segments), m) + wy.shape[1:])
 
-    def block(lo: int, space):
+    def block(lo: int) -> None:
         hi = min(lo + rows, m)
         c0 = lo if triangle else 0
-        if space is None:
-            space = np.empty((hi - lo) * (n - c0))
-        buf = space[: (hi - lo) * (n - c0)].reshape(hi - lo, n - c0)
-        _gram_block(A[lo:hi], B[c0:], buf)
+        buf = _gram_block(A[lo:hi], B[c0:], np.empty((hi - lo, n - c0)))
         if triangle:
             buf[:, : hi - lo][lower[: hi - lo, : hi - lo]] = 0.0
         for out, (s0, s1) in zip(row_sums[:, lo:hi], segments):
@@ -251,7 +223,6 @@ def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):
                 np.matmul(buf[:, s0 - c0 : s1 - c0], wy[s0:s1], out=out)
             else:
                 out[...] = 0.0
-        return space
 
     _drain(block, range(0, m, rows), threads)
     return row_sums if bounds is not None else row_sums[0]
@@ -310,15 +281,18 @@ def median_heuristic(pooled: Dataset) -> float:
     """Median pairwise Euclidean distance over a seeded subsample of the pool.
 
     Subsamples min(1000, m) points without replacement, so the bandwidth is
-    reproducible and the O(m^2) distance scan stays bounded. The n(n-1)/2
-    squared distances are written straight into one array, a row block of
-    the distance matrix at a time (blocks of about 2 MB, as in the Gram
-    sums), so no n x n matrix is held: at n = 1000 the call peaks at about
-    6.3 MB (the 4 MB of pairs and one 2 MB block), where the dense matrix
-    took 16.1 MB. One in-place partition then finds the middle value. Raises
-    when the median is 0 (more than half the pairs coincide), or when the
-    squared distances overflow float64; supply sigma explicitly, or rescale
-    the data, in those cases.
+    reproducible and the O(m^2) distance scan stays bounded. The rows are
+    lifted at sigma 1 (`_lifted`), so a row block of A @ B.T holds the
+    exponents -||x - y||^2 / 2, and the n(n-1)/2 exponents of the pairs are
+    written straight into one array a block at a time (blocks of about 2 MB,
+    as in the Gram sums), so no n x n matrix is held: at n = 1000 the call
+    peaks at about 6.3 MB (the 4 MB of pairs and one 2 MB block), where the
+    dense matrix took 16.1 MB. One in-place partition then finds the middle
+    exponents, and only they are turned into distances. Raises when the
+    median is 0 (more than half the pairs coincide), or when the spread
+    overflows float64 (a row more than 2^511 from the pooled mean, or a
+    middle squared distance above the float64 maximum); supply sigma
+    explicitly, or rescale the data, in those cases.
     """
     pts = pooled.points
     n = pts.shape[0]
@@ -328,34 +302,39 @@ def median_heuristic(pooled: Dataset) -> float:
         rng = np.random.default_rng(0)
         pts = pts[rng.permutation(n)[:_MEDIAN_CAP]]
         n = _MEDIAN_CAP
+    overflow = (
+        "median_heuristic: the data's spread overflows float64: a row lies more than"
+        " 2^511 (about 6.7e153) from the pooled mean, or a middle squared distance"
+        " exceeds about 1.8e308; rescale the data"
+    )
+    try:
+        A, B = _lifted(KernelConfig(sigma=1.0), pts, pts)
+    except InputError:
+        raise InputError(overflow) from None
     rows = max(1, _BLOCK_ENTRIES // n)
     pairs = np.empty(n * (n - 1) // 2)
     buf = np.empty((min(rows, n), n))
     k = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = _centered(pts, pts)[0]
-        cc = _sq_norms(c)
-        for lo in range(0, n, rows):
-            hi = min(lo + rows, n)
-            b = _sq_dists(c[lo:hi], cc[lo:hi], c, cc, buf[: hi - lo])
-            # each row's pairs to its right, in row order: the upper triangle
-            for i in range(lo, hi):
-                pairs[k : k + n - 1 - i] = b[i - lo, i + 1 :]
-                k += n - 1 - i
-    # An overflow above leaves an inf or a NaN among the pairs; max keeps NaN.
-    if not pairs.max() < math.inf:
-        raise InputError(
-            "median_heuristic: the data's spread overflows float64 (squared pairwise"
-            " distances above about 1.8e308); rescale the data"
-        )
-    # sqrt is monotone, so the median of the distances is the sqrt of the
-    # middle squared distance (the mean of the two middle ones for an even
-    # count). After the partition every value below `half` is at most
-    # pairs[half], so the lower middle one is their max.
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        b = np.matmul(A[lo:hi], B.T, out=buf[: hi - lo])
+        # each row's pairs to its right, in row order: the upper triangle
+        for i in range(lo, hi):
+            pairs[k : k + n - 1 - i] = b[i - lo, i + 1 :]
+            k += n - 1 - i
+    # The squared distance max(-2 e, 0) falls as the exponent e rises, and
+    # sqrt is monotone, so the middle distances come from the middle
+    # exponents (the mean of the two for an even count). After the partition
+    # every value below `half` is at most pairs[half], so the other middle
+    # one is their max. Only these are scaled: -2 e overflows for rows at
+    # the lifted bound.
     half = len(pairs) // 2
     pairs.partition(half)
-    mid = [pairs[half]] if len(pairs) % 2 else [pairs[:half].max(), pairs[half]]
-    med = float(np.mean(np.sqrt(mid)))
+    mid = pairs[half : half + 1] if len(pairs) % 2 else np.array([pairs[:half].max(), pairs[half]])
+    with np.errstate(over="ignore"):
+        med = float(np.mean(np.sqrt(np.maximum(-2.0 * mid, 0.0))))
+    if not med < math.inf:
+        raise InputError(overflow)
     if med <= 0.0:
         raise InputError(
             "median_heuristic: the median pairwise distance is 0 (more than half"

@@ -133,13 +133,10 @@ def compare(
     """
     m, m_prime, m_ref = len(D), len(Dp), len(ref.data)
     gap_known = ref.kind is ReferenceKind.GROUND_TRUTH or huber_gap is not None
-    if ref.kind is ReferenceKind.GROUND_TRUTH:
-        extra = 0.0
-        margin = criterion_margin_gt(p, m, m_prime, m_ref)
-    else:
-        hg = float(huber_gap) if huber_gap is not None else 0.0
-        extra = 2.0 * hg
-        margin = criterion_margin_mix(p, m, m_prime, m_ref, hg)
+    # A ground-truth reference is the mixture case with huber_gap 0, and
+    # x + 0.0 == x, so one margin formula serves both.
+    hg = 0.0 if ref.kind is ReferenceKind.GROUND_TRUTH or huber_gap is None else float(huber_gap)
+    margin = criterion_margin_mix(p, m, m_prime, m_ref, hg)
     observed_gap = value_dataset(cfg, D, ref, threads) - value_dataset(cfg, Dp, ref, threads)
     delta = confidence_delta(p, m, m_prime, m_ref)
     concluded = gap_known and observed_gap > margin
@@ -149,7 +146,7 @@ def compare(
         delta=delta,
         confidence=_confidence(delta),
         verdict=Verdict.CONCLUDE if concluded else Verdict.INCONCLUSIVE,
-        extra_term=extra,
+        extra_term=2.0 * hg,
         bound_unavailable=not gap_known,
     )
 

@@ -191,6 +191,16 @@ def test_fast_ingest_gives_the_per_cell_readers_result_or_error(tmp_path, file):
         assert fast.tobytes() == cells.tobytes() and fast.shape == cells.shape
 
 
+# Python's float takes a digit separator and the Arabic-Indic digit one;
+# np.loadtxt takes neither, and neither does the per-cell reader.
+@pytest.mark.parametrize("cell", ["1_000", "\u0661"])
+def test_digit_separators_and_non_ascii_digits_are_not_decimal_reals(tmp_path, cell):
+    path = tmp_path / "v.csv"
+    text = f"1.5,2\n3,{cell}\n"
+    expected = f"v: {path}:2:2: not a decimal real: {cell!r}"
+    assert _both_readers(path, text, 2, False) == [expected, expected]
+
+
 def _config(tmp_path, vendor_files, **overrides):
     _, a, b, ref = vendor_files
     cfg = {

@@ -160,14 +160,13 @@ def test_median_heuristic_capped_and_deterministic():
 
 
 def _median_of_every_pair(pts):
-    # the formula median_heuristic replaced: every pair's distance, then np.median
+    # the dense form of median_heuristic: one lifted product, every pair's
+    # distance, then np.median
     if pts.shape[0] > kernel._MEDIAN_CAP:
         pts = pts[np.random.default_rng(0).permutation(pts.shape[0])[: kernel._MEDIAN_CAP]]
-    n = pts.shape[0]
-    c = kernel._centered(pts, pts)[0]
-    cc = kernel._sq_norms(c)
-    d2 = kernel._sq_dists(c, cc, c, cc, np.empty((n, n)))
-    return float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    A, B = kernel._lifted(KernelConfig(sigma=1.0), pts, pts)
+    d2 = np.maximum(-2.0 * (A @ B.T), 0.0)
+    return float(np.median(np.sqrt(d2[np.triu_indices(pts.shape[0], k=1)])))
 
 
 @st.composite
@@ -222,9 +221,9 @@ def test_median_heuristic_memory_stays_within_its_pairs_and_one_block():
     m, d = 10_000, 8
     pool = Dataset("p", np.random.default_rng(4).normal(size=(m, d)))
     n = kernel._MEDIAN_CAP
-    # 8-byte values: the n(n-1)/2 squared distances, one row block of the
-    # distance matrix, the subsample's rows and their centred copy, the pool's
-    # permutation, and 1 MiB for numpy's and the interpreter's small temporaries.
+    # 8-byte values: the n(n-1)/2 exponents, one row block of them, the
+    # subsample's rows and their lifted copies, the pool's permutation, and
+    # 1 MiB for numpy's and the interpreter's small temporaries.
     bound = 8 * (n * (n - 1) // 2 + kernel._BLOCK_ENTRIES + 2 * n * d + m) + 2**20
     tracemalloc.start()
     try:
@@ -489,6 +488,19 @@ def test_overflow_boundary_of_the_lifted_rows(sigma):
             weighted_gram_sum(cfg, X, np.ones(1), Y, np.ones(1))
 
 
+def test_overflow_boundary_of_the_medians_lifted_rows():
+    # The median lifts its rows at sigma 1: rows at -a and a have pooled mean
+    # exactly 0 and squared distance 4 a^2. At a = 2^510 that is 2^1022; at
+    # a = 2^511 the rows pass the lift but the squared distance is 2^1024,
+    # and one float further they fail the lift.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert median_heuristic(ds([-(2.0**510)], [2.0**510])) == 2.0**511
+        for a in (2.0**511, np.nextafter(2.0**511, math.inf)):
+            with pytest.raises(InputError, match="^median_heuristic: "):
+                median_heuristic(ds([-a], [a]))
+
+
 def test_spread_overflow_is_an_input_error_not_a_nan():
     # finite points about 3e154 apart: their squared distances overflow float64
     rng = np.random.default_rng(21)
@@ -498,7 +510,7 @@ def test_spread_overflow_is_an_input_error_not_a_nan():
         warnings.simplefilter("error")
         with pytest.raises(InputError, match="spread overflows float64 at this bandwidth"):
             mmd_biased(CFG, a, b)
-        with pytest.raises(InputError, match="spread overflows float64"):
+        with pytest.raises(InputError, match="^median_heuristic: "):
             median_heuristic(a)
 
 
