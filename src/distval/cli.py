@@ -353,6 +353,7 @@ def cmd_experiment(cfg: dict, args) -> int:
         extra=extra,
     )
     report = run(econfig, timing=args.timing)
+    _note_provenance(report.config)
     if args.format == "csv":
         if not args.out:
             raise InputError("--format csv for experiments requires --out")
@@ -383,9 +384,11 @@ def cmd_verify_game(cfg: dict, args) -> int:
             for _ in range(trials):
                 reports.append(verify_minmax(build_game(rng.uniform(0.0, 1.0, size=n))))
     all_ok = all(r.certified for r in reports)
+    resolved = _provenance(args, None)
+    _note_provenance(resolved)
     payload = {
         "command": "verify-game",
-        "resolved_config": _provenance(args, None),
+        "resolved_config": resolved,
         "certified": all_ok,
         "games": len(reports),
         "failures": [json.loads(r.to_json()) for r in reports if not r.certified],

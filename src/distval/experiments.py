@@ -25,6 +25,7 @@ from ._schema import (
     INTEGER,
     NONNEGATIVE,
     Section,
+    is_integer,
     is_number,
     nonempty_list_of,
     one_of,
@@ -157,6 +158,10 @@ class ExperimentConfig:
         section = Section(self.extra, "experiment.extra", extras)
         for key, (default, kind) in extras.items():
             section.get(key, kind, default)
+        if "misreporter" in extras:
+            # a vendor's index, so its range is set by n
+            index = (f"an integer in [0, {self.n})", lambda v: is_integer(v) and 0 <= v < self.n)
+            section.get("misreporter", index, None)
         if "support_max" in extras:
             ex = self.resolved_extra()
             points, given = ex["support_max"] + 1, f"support_max = {ex['support_max']}"
@@ -441,8 +446,6 @@ def run_incentive(cfg: ExperimentConfig) -> ExperimentReport:
     ex = cfg.resolved_extra()
     rows = []
     i_mis = ex["misreporter"] if ex["misreporter"] is not None else cfg.n // 2
-    if not (0 <= i_mis < cfg.n):
-        raise InputError("incentive: misreporter index out of range")
     for t in range(cfg.trials):
         seeds = _trial_seeds(cfg.seed, t, 4 + cfg.n)
         draw = _lattice_draw(seeds[0], cfg.n, ex["support_max"], ex["eps_max"])

@@ -15,11 +15,12 @@ evaluates only the upper triangle, since K(X, X) is symmetric with a unit
 diagonal. Every pass forms row sums and nothing else; a pass given column
 segments (a pooled sample's table, `mmd._Table`) keeps each row's sums per
 segment, with one product per block and segment.
-The calling thread and up to threads - 1 pool workers take the row blocks
-one at a time, in row order, and each block allocates a buffer of its own
-size. Results are identical for any worker count: the blocks depend only on
-the input sizes, each row is reduced within its own block, and the weighted
-per-row sums are combined exactly in index order.
+The calling thread and up to threads - 1 workers of a thread pool opened
+for that pass alone take the row blocks one at a time, in row order, and
+each block allocates a buffer of its own size. Results are identical for
+any worker count: the blocks depend only on the input sizes, each row is
+reduced within its own block, and the weighted per-row sums are combined
+exactly in index order.
 
 The bandwidth heuristic (`median_heuristic`) lifts the rows at sigma 1 and
 walks the same row blocks to fill one array with the n(n-1)/2 exponents
@@ -30,7 +31,6 @@ distances.
 from __future__ import annotations
 
 import math
-import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -55,26 +55,6 @@ _MEDIAN_CAP = 1000
 # The bound K on kernel values that the MMD concentration bounds take. For the
 # RBF kernel k(x, x) = 1 and every other entry lies in (0, 1], so K = 1.
 K_BOUND = 1.0
-
-# One reused pool per worker count, created on first use. A fresh executor
-# per sum starts its threads every time: that measured level on a 10,000-row
-# self-sum but 9% slower on a 2,000-row triangle and 26% on a 500 x 1,000
-# cross sum (2 threads, BLAS at 1 thread).
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-_POOLS_LOCK = threading.Lock()
-
-
-def _drop_pools_in_child() -> None:
-    # A forked child inherits the pools but not their threads, so a task
-    # submitted there would never run; it starts its own pools instead.
-    global _POOLS_LOCK
-    _POOLS.clear()
-    _POOLS_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_drop_pools_in_child)
-
 
 @dataclass(frozen=True)
 class KernelConfig:
@@ -150,17 +130,11 @@ def kernel_eval(cfg: KernelConfig, x, y) -> float:
     return math.exp(-d2 / (2.0 * cfg.sigma**2))
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    with _POOLS_LOCK:
-        if workers not in _POOLS:
-            _POOLS[workers] = ThreadPoolExecutor(workers, thread_name_prefix="distval-gram")
-        return _POOLS[workers]
-
-
 def _drain(work, starts, threads: int) -> None:
     """work(lo) for every lo in starts, taken in order by the calling thread
-    and by up to threads - 1 pool workers alongside it; a single taker runs a
-    plain loop, with no lock and no pool."""
+    and by up to threads - 1 workers of a pool opened for this pass alone; a
+    single taker runs a plain loop, with no lock and no pool. A worker's
+    error reaches the caller, and no worker outlives the pass."""
     workers = min(threads, len(starts)) - 1
     if workers < 1:
         for lo in starts:
@@ -177,15 +151,11 @@ def _drain(work, starts, threads: int) -> None:
                 return
             work(lo)
 
-    futures = [_pool(workers).submit(take) for _ in range(workers)]
-    try:
+    with ThreadPoolExecutor(workers, thread_name_prefix="distval-gram") as pool:
+        futures = [pool.submit(take) for _ in range(workers)]
         take()
-    finally:
-        # A task still queued behind other callers' work would find no block
-        # left, so it is cancelled; one that started is waited for.
         for f in futures:
-            if not f.cancel():
-                f.result()
+            f.result()
 
 
 def _reduce_blocks(cfg, X, wy, Y=None, threads: int = 1, bounds=None):

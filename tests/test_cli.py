@@ -691,6 +691,9 @@ def _extra_case(name, key, value):
         ("value", "reference", {"kind": "uniform", "total": 5}, "reference.total"),
         ("value", "reference", {"kind": "ground_truth", "weights": [7.0]}, "reference.weights"),
         ("value", "reference", {"kind": "ground_truth", "total": 3}, "reference.total"),
+        # a misreporter outside [0, n): once caught only when the study ran
+        _extra_case("incentive_compat", "misreporter", 9),
+        _extra_case("incentive_compat", "misreporter", -1),
     ],
 )
 def test_malformed_config_is_input_error(
@@ -750,6 +753,13 @@ def test_every_section_config_is_valid(tmp_path, vendor_files, capsys):
     p = _config(tmp_path, vendor_files, **_EVERY_SECTION)
     for command in ("value", "rank", "compare", "experiment", "verify-game"):
         assert main([command, "--config", str(p), "--seed", "1"]) == 0, command
+        # every command echoes its resolved configuration, as in its report
+        captured = capsys.readouterr()
+        prefix = "resolved configuration: "
+        echoed = [line for line in captured.err.splitlines() if line.startswith(prefix)]
+        assert len(echoed) == 1, command
+        resolved = json.loads(echoed[0][len(prefix) :])
+        assert resolved == json.loads(captured.out)["resolved_config"], command
 
 
 @pytest.mark.parametrize("flag", ["--eps-bias", "--eps-upsilon"])

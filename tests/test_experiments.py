@@ -78,6 +78,9 @@ def cfg(name, n, trials, seed, **extra):
         # once "policy: eps_bias must be finite and >= 0" from a running runner
         (ExperimentName.POLICY_SOUNDNESS, "eps_bias", -0.1, "must be a number >= 0, got -0.1"),
         (ExperimentName.POLICY_SOUNDNESS, "eps_upsilon", -1, "must be a number >= 0, got -1"),
+        # once caught only when the incentive study ran
+        (ExperimentName.INCENTIVE_COMPAT, "misreporter", 9, r"must be an integer in \[0, 5\), got 9"),
+        (ExperimentName.INCENTIVE_COMPAT, "misreporter", -1, r"must be an integer in \[0, 5\), got -1"),
     ],
     ids=[
         "unknown-key", "mode-bogus", "reference-mixture", "m_full-string", "m-null", "m-bool",
@@ -86,6 +89,7 @@ def cfg(name, n, trials, seed, **extra):
         "ref_vendors-negative", "ref_vendors-zero", "n_values-negative", "n_values-one",
         "n_values-eight", "m-zero", "support_max-negative", "eps_max-one", "noise_var-zero",
         "outlier_shift-removed", "eps_bias-negative", "eps_upsilon-negative",
+        "misreporter-nine", "misreporter-negative",
     ],
 )
 def test_config_rejects_bad_extra(name, key, value, error):

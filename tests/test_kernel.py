@@ -4,6 +4,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -242,7 +243,7 @@ def test_self_sum_memory_stays_within_one_buffer_per_worker():
     # 1 MiB for the row sums and numpy's and the interpreter's small temporaries.
     bound = 8 * (2 * m * (d + 2) + threads * kernel._BLOCK_ENTRIES) + 2**20
     # a sample's own table pass: the triangle's row sums per segment
-    kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))  # starts the pool
+    kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))
     tracemalloc.start()
     try:
         kernel._reduce_blocks(CFG, X, w, threads=threads, bounds=(0, m))
@@ -353,18 +354,48 @@ def test_tiny_blocks_agree_with_default_block_size(same):
 def test_pool_never_larger_than_the_block_count():
     rng = np.random.default_rng(16)
     X, w = rng.normal(size=(3, 2)), np.ones(3)
+    opened = []
+
+    def executor(workers, **kwargs):
+        opened.append(workers)
+        return ThreadPoolExecutor(workers, **kwargs)
+
     # the calling thread takes blocks too: at most min(threads, blocks) - 1 pool workers
-    with mock.patch.dict(kernel._POOLS, clear=True), mock.patch.object(kernel, "_BLOCK_ENTRIES", 3):
-        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one block starts no pool
-        assert set(kernel._POOLS) == set()
+    with mock.patch.object(kernel, "ThreadPoolExecutor", executor), mock.patch.object(
+        kernel, "_BLOCK_ENTRIES", 3
+    ):
+        weighted_gram_sum(CFG, X[:1], w[:1], X, w, threads=4)  # one block opens no pool
+        assert opened == []
         weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=4)  # 3 one-row blocks
-        assert set(kernel._POOLS) == {2}
+        assert opened == [2]
         weighted_gram_sum(CFG, X, w, X + 1.0, w, threads=2)
-        assert set(kernel._POOLS) == {1, 2}
+        assert opened == [2, 1]
+
+
+def test_a_block_error_reaches_the_caller_and_no_pool_thread_outlives_the_pass():
+    rng = np.random.default_rng(19)
+    X, Y = rng.normal(size=(30, 2)), rng.normal(size=(10, 2))
+    gram_block, calls, lock = kernel._gram_block, [], threading.Lock()
+
+    def failing_block(*args):
+        with lock:
+            calls.append(None)
+            third = len(calls) == 3
+        if third:
+            raise MemoryError("block 3")
+        return gram_block(*args)
+
+    # 3 rows per block: 10 blocks shared by the calling thread and one worker
+    with mock.patch.object(kernel, "_gram_block", failing_block), mock.patch.object(
+        kernel, "_BLOCK_ENTRIES", 30
+    ):
+        with pytest.raises(MemoryError, match="block 3"):
+            weighted_gram_sum(CFG, X, np.ones(30), Y, np.ones(10), threads=2)
+    assert [t.name for t in threading.enumerate() if t.name.startswith("distval-gram")] == []
 
 
 def test_concurrent_callers_share_the_pool_safely():
-    # more calling threads than cores, each fanning out to the shared pools
+    # more calling threads than cores, each opening pools of its own
     rng = np.random.default_rng(17)
     X, Y = rng.normal(size=(60, 2)), rng.normal(size=(50, 2))
     wx, wy = np.ones(60), rng.uniform(0.5, 2.0, size=50)
@@ -407,7 +438,7 @@ def _threaded_sum(queue=None):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork")
 def test_forked_child_does_not_reuse_the_parents_pool():
-    # the child inherits the pool object but none of its threads
+    # a child forked after a threaded pass runs its own threaded pass
     expected = _threaded_sum()
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
